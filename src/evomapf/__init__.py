@@ -20,6 +20,7 @@ from .automaton import (
     reach_avoid_automaton,
     reach_avoid_machine,
     runs,
+    score_observations,
     toa,
     trajectory_weight,
     valuate,
@@ -64,6 +65,7 @@ from .gridworld import (
     Action,
     AgentStatus,
     AgentTrajectory,
+    BatchRollout,
     Cell,
     ConfigError,
     EnvConfig,
@@ -75,6 +77,7 @@ from .gridworld import (
     default_horizon,
     format_map,
     parse_map,
+    roll_batch,
     run_episode,
 )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .gridworld import Cell
 
 Symbol = Hashable
@@ -262,6 +264,18 @@ class RewardMachine:
                     if t.source == q and t.guard(s):
                         self._table[(q, s)] = (t.target, t)
                         break
+        # The same table as arrays over location and symbol indices.
+        self.locations = tuple(sorted(automaton.locations))
+        self.symbol_index = {s: k for k, s in enumerate(self.alphabet)}
+        location_index = {q: k for k, q in enumerate(self.locations)}
+        self.initial_index = location_index[self.initial]
+        shape = (len(self.locations), len(self.alphabet))
+        self.next_location = np.empty(shape, dtype=np.intp)
+        self.weight = np.empty(shape)
+        for (q, s), (target, t) in self._table.items():
+            cell = location_index[q], self.symbol_index[s]
+            self.next_location[cell] = location_index[target]
+            self.weight[cell] = t.weight_for(s)
 
     def step_reward(self, location: str, symbol: Symbol) -> tuple[str, float]:
         """One online step: the successor location and the emitted weight."""
@@ -283,6 +297,46 @@ class RewardMachine:
 
 def reach_avoid_machine(params: RewardParams) -> RewardMachine:
     return RewardMachine(reach_avoid_automaton(params), OBSERVATION_ALPHABET)
+
+
+def score_observations(
+    machine: RewardMachine,
+    in_goal: np.ndarray,
+    collided: np.ndarray,
+    count: np.ndarray,
+    valuation: Valuation,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and values of many (in_goal, collided) observation sequences at once.
+
+    in_goal and collided have shape (..., L); sequence k is the first
+    count[k] entries along the last axis.  Returns the weight array (the
+    machine's run over every entry, padding included) and the value of
+    each sequence, equal to valuate(machine.weights(obs), valuation):
+    the values are folded step by step in valuate's order of operations.
+    """
+    try:
+        columns = np.array(
+            [[machine.symbol_index[(g, c)] for c in (False, True)] for g in (False, True)]
+        )
+    except KeyError as missing:
+        raise IncompleteAutomatonError(machine.initial, missing.args[0]) from None
+    if valuation.kind == "avg" and (count == 0).any():
+        raise ValueError("average of an empty weight sequence is undefined")
+    symbols = columns[in_goal.astype(np.intp), collided.astype(np.intp)]
+    gamma = valuation.gamma if valuation.kind == "discounted_sum" else 1.0
+    location = np.full(count.shape, machine.initial_index)
+    weights = np.empty(in_goal.shape)
+    total = np.zeros(count.shape)
+    g = 1.0
+    for t in range(in_goal.shape[-1]):
+        symbol = symbols[..., t]
+        w = weights[..., t] = machine.weight[location, symbol]
+        total = np.where(t < count, total + g * w, total)
+        location = machine.next_location[location, symbol]
+        g *= gamma
+    if valuation.kind == "avg":
+        total = total / count
+    return weights, total
 
 
 def toa(cells: Sequence[Cell], goals: frozenset[Cell] | set[Cell]) -> int | None:

@@ -10,8 +10,11 @@ improving or the iteration cap is hit.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,9 +24,10 @@ from .automaton import (
     RewardMachine,
     discounted_sum,
     reach_avoid_machine,
-    valuate,
+    score_observations,
 )
 from .gridworld import (
+    ACTIONS,
     Action,
     Cell,
     ConfigError,
@@ -31,7 +35,7 @@ from .gridworld import (
     EpisodeRollout,
     GridEnv,
     GridMap,
-    run_episode,
+    roll_batch,
 )
 
 NUM_ACTIONS = len(Action)
@@ -49,6 +53,7 @@ class TabularPolicy:
         self.probs = probs
         self.cells = list(cells)
         self._cum: np.ndarray | None = None
+        self._cum_rows: list | None = None
 
     @classmethod
     def uniform(cls, grid: GridMap) -> "TabularPolicy":
@@ -61,12 +66,18 @@ class TabularPolicy:
     def action_probs(self, cell: Cell) -> np.ndarray:
         return self.probs[cell.y, cell.x]
 
-    def sample_action(self, cell: Cell, rng: np.random.Generator) -> Action:
+    def cumulative(self) -> np.ndarray:
+        """Cumulative action probabilities per cell, shape (H, W, A); computed once."""
         if self._cum is None:
             self._cum = np.cumsum(self.probs, axis=2)
-        row = self._cum[cell.y, cell.x]
-        idx = int(np.searchsorted(row, rng.random(), side="right"))
-        return Action(min(idx, NUM_ACTIONS - 1))
+        return self._cum
+
+    def sample_action(self, cell: Cell, rng: np.random.Generator) -> Action:
+        if self._cum_rows is None:
+            self._cum_rows = self.cumulative().tolist()
+        # On a sorted row, bisect_right is np.searchsorted(row, u, side="right").
+        idx = bisect_right(self._cum_rows[cell.y][cell.x], rng.random())
+        return ACTIONS[min(idx, NUM_ACTIONS - 1)]
 
     def greedy(self) -> "TabularPolicy":
         """Deterministic policy: all mass on each row's argmax (first wins ties)."""
@@ -134,21 +145,23 @@ def sample_batch(
     batch_size: int,
     rng: np.random.Generator,
 ) -> EpisodeBatch:
-    """Roll batch_size episodes, each on its own generator derived from rng."""
+    """Roll batch_size episodes, each on its own generator derived from rng.
+
+    The episodes are rolled and scored together by roll_batch and
+    score_observations; each equals run_episode on its generator, scored
+    by valuate(machine.weights(observations), valuation).
+    """
     if batch_size < 1:
         raise ConfigError("batch_size must be at least 1")
-    rollouts = []
-    weight_sequences = []
-    returns = []
     seeds = rng.integers(0, 2**63 - 1, size=batch_size)
-    for seed in seeds:
-        episode_rng = np.random.default_rng(int(seed))
-        rollout = run_episode(env, policy, episode_rng)
-        weights = [machine.weights(t.observations()) for t in rollout.trajectories]
-        rollouts.append(rollout)
-        weight_sequences.append(weights)
-        returns.append([valuate(w, valuation) for w in weights])
-    return EpisodeBatch(rollouts, weight_sequences, returns)
+    rolled = roll_batch(env, policy.cumulative().reshape(-1, NUM_ACTIONS), seeds)
+    in_goal, collided, count = rolled.observations()
+    weights, returns = score_observations(machine, in_goal, collided, count, valuation)
+    weight_sequences = [
+        [w[:k].tolist() for w, k in zip(episode, counts)]
+        for episode, counts in zip(weights, count.tolist())
+    ]
+    return EpisodeBatch(rolled.rollouts(env), weight_sequences, returns.tolist())
 
 
 def estimate_fitness(batch: EpisodeBatch, grid: GridMap) -> FitnessTable:
@@ -156,19 +169,51 @@ def estimate_fitness(batch: EpisodeBatch, grid: GridMap) -> FitnessTable:
 
     A trajectory contributes its whole return once to every distinct pair
     it contains, regardless of how often the pair repeats within it.
+    Distinct (trajectory, cell[, action]) keys sort by trajectory, so each
+    sum accumulates its returns in trajectory order.
     """
-    table = FitnessTable.zeros(grid)
-    for rollout, agent_returns in zip(batch.rollouts, batch.returns):
-        for traj, ret in zip(rollout.trajectories, agent_returns):
-            pairs = {(c, a) for c, a in zip(traj.cells, traj.actions)}
-            cells = set(traj.cells)
-            for cell, action in pairs:
-                table.action_sums[cell.y, cell.x, action] += ret
-                table.action_counts[cell.y, cell.x, action] += 1
-            for cell in cells:
-                table.state_sums[cell.y, cell.x] += ret
-                table.state_counts[cell.y, cell.x] += 1
-    return table
+    scored = [
+        (traj, ret)
+        for rollout, agent_returns in zip(batch.rollouts, batch.returns)
+        for traj, ret in zip(rollout.trajectories, agent_returns)
+    ]
+    owner = np.arange(len(scored))
+    returns = np.array([ret for _, ret in scored], dtype=float)
+    steps = np.array([len(traj.actions) for traj, _ in scored], dtype=np.intp)
+    xy = np.fromiter(
+        chain.from_iterable(chain.from_iterable(traj.cells for traj, _ in scored)), dtype=np.intp
+    ).reshape(-1, 2)
+    cells = xy[:, 1] * grid.width + xy[:, 0]
+    actions = np.fromiter(chain.from_iterable(traj.actions for traj, _ in scored), dtype=np.intp)
+    # A trajectory holds one cell more than actions; action t was taken in cell t.
+    acted = np.delete(cells, np.cumsum(steps + 1) - 1)
+    n_grid = grid.width * grid.height
+    state_keys = _distinct(np.repeat(owner, steps + 1) * n_grid + cells)
+    pair_keys = _distinct((np.repeat(owner, steps) * n_grid + acted) * NUM_ACTIONS + actions)
+
+    def accumulate(keys: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
+        slot = keys % bins
+        # astype: bincount of no keys comes back integer even with weights.
+        sums = np.bincount(slot, weights=returns[keys // bins], minlength=bins)
+        return sums.astype(float, copy=False), np.bincount(slot, minlength=bins)
+
+    shape = (grid.height, grid.width)
+    action_sums, action_counts = accumulate(pair_keys, n_grid * NUM_ACTIONS)
+    state_sums, state_counts = accumulate(state_keys, n_grid)
+    return FitnessTable(
+        action_sums=action_sums.reshape(shape + (NUM_ACTIONS,)),
+        action_counts=action_counts.reshape(shape + (NUM_ACTIONS,)),
+        state_sums=state_sums.reshape(shape),
+        state_counts=state_counts.reshape(shape),
+    )
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys, as np.unique returns them (sorting is faster here)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def replicator_update(
@@ -184,22 +229,32 @@ def replicator_update(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError("alpha must lie in [0, 1]")
-    probs = policy.probs.copy()
-    seen = np.argwhere(fitness.action_counts.sum(axis=2) > 0)
-    for y, x in seen:
-        counts = fitness.action_counts[y, x]
-        mask = counts > 0
-        f = fitness.action_sums[y, x, mask] / counts[mask]
-        f = f - f.min() + 1.0
-        prior = probs[y, x, mask]
-        mass = prior.sum()
-        if mass <= 0.0:
-            continue
-        weighted = prior * f
-        target = weighted / weighted.sum() * mass
-        probs[y, x, mask] = (1.0 - alpha) * prior + alpha * target
-        probs[y, x] /= probs[y, x].sum()
-    return policy._like(probs)
+    probs = policy.probs.reshape(-1, NUM_ACTIONS).copy()
+    counts = fitness.action_counts.reshape(-1, NUM_ACTIONS)
+    observed = counts > 0
+    prior = np.where(observed, probs, 0.0)
+    mass = _row_sum(prior)
+    rows = np.flatnonzero(observed.any(axis=1) & (mass > 0.0))
+    observed, prior, mass = observed[rows], prior[rows], mass[rows, None]
+    f = fitness.action_sums.reshape(-1, NUM_ACTIONS)[rows] / np.maximum(counts[rows], 1)
+    f = f - np.where(observed, f, np.inf).min(axis=1, keepdims=True) + 1.0
+    weighted = np.where(observed, prior * f, 0.0)
+    target = weighted / _row_sum(weighted)[:, None] * mass
+    stepped = np.where(observed, (1.0 - alpha) * prior + alpha * target, probs[rows])
+    probs[rows] = stepped / _row_sum(stepped)[:, None]
+    return policy._like(probs.reshape(policy.probs.shape))
+
+
+def _row_sum(values: np.ndarray) -> np.ndarray:
+    """Sum of each row, added left to right like numpy's sum of a short 1-D row.
+
+    Zeros in place of masked entries leave such a sum unchanged, so a
+    masked row sums to the same bits as its compressed 1-D slice.
+    """
+    total = values[:, 0]
+    for k in range(1, values.shape[1]):
+        total = total + values[:, k]
+    return total
 
 
 def mix_with_uniform(policy: TabularPolicy, weight: float) -> TabularPolicy:
@@ -326,6 +381,7 @@ def expected_return(
 
 
 POLICY_MAGIC = "# evomapf policy v1"
+ROW_SUM_TOLERANCE = 1e-9  # how far a loaded row's sum may stray from 1
 _ACTION_COLUMNS = "p_up p_down p_left p_right p_stay"
 
 
@@ -367,6 +423,12 @@ def load_policy(path: str) -> tuple[TabularPolicy, dict[str, str]]:
         values = [float(v) for v in rest.split()]
         if len(values) != NUM_ACTIONS:
             raise ConfigError(f"{path}: row {coords!r} has {len(values)} probabilities, expected {NUM_ACTIONS}")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{path}: row {coords!r} has a non-finite probability")
+        if min(values) < 0.0:
+            raise ConfigError(f"{path}: row {coords!r} has a negative probability")
+        if abs(sum(values) - 1.0) > ROW_SUM_TOLERANCE:
+            raise ConfigError(f"{path}: row {coords!r} sums to {sum(values)!r}, not 1")
         rows.append((Cell(int(x_text), int(y_text)), values))
     try:
         width = int(meta["width"])

@@ -5,6 +5,9 @@ Maps are rectangular character grids ('.' free, '#' obstacle, 'G' goal,
 obstacles are blocked in place, and agents that end up sharing a cell or
 swapping cells are reverted to where they stood.  An agent that enters a
 goal cell despawns at the end of that step.
+
+`run_episode` rolls one episode through `GridEnv.step`; `roll_batch` rolls
+many at once over flat cell indices with the same rules and random draws.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ ACTION_DELTAS: dict[Action, tuple[int, int]] = {
     Action.STAY: (0, 0),
 }
 
+ACTIONS: tuple[Action, ...] = tuple(Action)
 MOVE_ACTIONS: tuple[Action, ...] = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT)
 
 ACTION_NAMES: dict[Action, str] = {
@@ -64,6 +68,10 @@ COLLISION_EVENTS = frozenset(
 
 # Agent-agent conflicts only; this is what the benchmark counts as collisions.
 CONFLICT_EVENTS = frozenset({StepEvent.VERTEX_CONFLICT, StepEvent.SWAP_CONFLICT})
+
+# Event codes of the batched kernel: positions in STEP_EVENTS (declaration order).
+STEP_EVENTS: tuple[StepEvent, ...] = tuple(StepEvent)
+_MOVED, _BLOCKED, _VERTEX, _SWAP, _REACHED, _INACTIVE = range(len(STEP_EVENTS))
 
 
 class MapParseError(ValueError):
@@ -236,11 +244,32 @@ class GridEnv:
 
     def __init__(self, config: EnvConfig):
         self.config = config
-        self.grid = config.grid
+        self.grid = grid = config.grid
+        self.start_cells = sorted(grid.starts)
+        # Flat-index tables for roll_batch; cell index c = y * width + x.
+        w, h = grid.width, grid.height
+        self.cells = [Cell(c % w, c // w) for c in range(w * h)]
+        self.start_index = np.array([c.y * w + c.x for c in self.start_cells], dtype=np.intp)
+        self.goal_mask = np.zeros(w * h, dtype=bool)
+        self.goal_mask[[c.y * w + c.x for c in grid.goals]] = True
+        free = np.ones(w * h, dtype=bool)
+        free[[c.y * w + c.x for c in grid.obstacles]] = False
+        x = np.arange(w * h) % w
+        y = np.arange(w * h) // w
+        dx = np.array([ACTION_DELTAS[a][0] for a in Action])
+        dy = np.array([ACTION_DELTAS[a][1] for a in Action])
+        tx = x[:, None] + dx
+        ty = y[:, None] + dy
+        inside = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
+        target = np.where(inside, ty * w + tx, 0)
+        passable = inside & free[target]
+        # Per (cell, action): the cell the move lands on, and whether it was blocked.
+        self.move_target = np.where(passable, target, np.arange(w * h)[:, None])
+        self.move_blocked = ~passable & ((dx != 0) | (dy != 0))
 
     def reset(self, rng: np.random.Generator) -> JointState:
         """Place agents uniformly at random on distinct start cells."""
-        starts = sorted(self.grid.starts)
+        starts = self.start_cells
         picks = rng.choice(len(starts), size=self.config.num_agents, replace=False)
         return tuple(AgentStatus(starts[int(i)]) for i in picks)
 
@@ -361,20 +390,16 @@ class EpisodeRollout:
         return all(t.reached for t in self.trajectories)
 
 
-class PolicyLike:
-    """Anything usable by run_episode: maps a cell to an action sample."""
-
-    def sample_action(self, cell: Cell, rng: np.random.Generator) -> Action:
-        raise NotImplementedError
-
-
 def run_episode(
     env: GridEnv,
-    policy: PolicyLike,
+    policy,
     rng: np.random.Generator,
     initial_state: JointState | None = None,
 ) -> EpisodeRollout:
-    """Roll one episode; ends at the horizon or once every agent has reached a goal."""
+    """Roll one episode; ends at the horizon or once every agent has reached a goal.
+
+    policy is anything with a `sample_action(cell, rng) -> Action` method.
+    """
     state = env.reset(rng) if initial_state is None else initial_state
     trajs = [AgentTrajectory(cells=[st.cell]) for st in state]
 
@@ -408,3 +433,161 @@ def run_episode(
             if state[i].reached:
                 traj.reached = True
     return EpisodeRollout(trajectories=trajs, steps=steps)
+
+
+@dataclass
+class BatchRollout:
+    """A batch of episodes as arrays indexed [episode, agent, step].
+
+    cells holds flat cell indices (y * width + x), actions Action values
+    and events indices into STEP_EVENTS.  Agent i of episode b recorded
+    lengths[b, i] steps, so its trajectory is cells[b, i, :lengths + 1]
+    with actions[b, i, :lengths] and events[b, i, :lengths]; entries past
+    that are padding.  steps[b] is the episode's step count.
+    """
+
+    cells: np.ndarray  # (B, N, S + 1)
+    actions: np.ndarray  # (B, N, S)
+    events: np.ndarray  # (B, N, S)
+    lengths: np.ndarray  # (B, N)
+    reached: np.ndarray  # (B, N) bool
+    steps: np.ndarray  # (B,)
+
+    def observations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array form of AgentTrajectory.observations: in_goal, collided, count.
+
+        in_goal and collided have shape (B, N, S + 1); the first count[b, i]
+        entries are agent i's observation sequence, the rest (False, False).
+        """
+        span = self.events.shape[2]
+        collided = np.zeros(self.cells.shape, dtype=bool)
+        collided[:, :, :span] = np.isin(self.events, [STEP_EVENTS.index(e) for e in COLLISION_EVENTS])
+        in_goal = np.zeros(self.cells.shape, dtype=bool)
+        arrival = np.arange(span + 1) == self.lengths[:, :, None]
+        in_goal[arrival & self.reached[:, :, None]] = True
+        return in_goal, collided, self.lengths + self.reached
+
+    def rollouts(self, env: GridEnv) -> list[EpisodeRollout]:
+        """The same episodes as EpisodeRollout objects."""
+        out = []
+        for cells, actions, events, lengths, reached, steps in zip(
+            self.cells, self.actions, self.events,
+            self.lengths.tolist(), self.reached.tolist(), self.steps.tolist(),
+        ):
+            trajectories = [
+                AgentTrajectory(
+                    cells=list(map(env.cells.__getitem__, c[: n + 1].tolist())),
+                    actions=list(map(ACTIONS.__getitem__, a[:n].tolist())),
+                    events=list(map(STEP_EVENTS.__getitem__, e[:n].tolist())),
+                    reached=r,
+                )
+                for c, a, e, n, r in zip(cells, actions, events, lengths, reached)
+            ]
+            out.append(EpisodeRollout(trajectories=trajectories, steps=steps))
+        return out
+
+
+def _resolve_conflicts(
+    pre: np.ndarray, final: np.ndarray, active: np.ndarray, events: np.ndarray
+) -> np.ndarray:
+    """Batched conflict resolution of GridEnv.step over (B, N) arrays.
+
+    Each round marks vertex conflicts, then swap conflicts, on the moves
+    as they stand at the start of the round; an agent keeps the first
+    conflict event it gets.  Conflicting movers are reverted and rounds
+    repeat until none is left.  Updates events in place; returns the
+    resolved cells.
+    """
+    n = pre.shape[1]
+    pairs = active[:, :, None] & active[:, None, :] & ~np.eye(n, dtype=bool)
+    while True:
+        moved = final != pre
+        vertex = ((final[:, :, None] == final[:, None, :]) & pairs).any(axis=2)
+        events[vertex & (events != _SWAP)] = _VERTEX
+        swap = (
+            (final[:, :, None] == pre[:, None, :])
+            & (pre[:, :, None] == final[:, None, :])
+            & moved[:, :, None]
+            & moved[:, None, :]
+            & pairs
+        ).any(axis=2)
+        events[swap & (events != _VERTEX)] = _SWAP
+        revert = (vertex & moved) | swap
+        if not revert.any():
+            return final
+        final = np.where(revert, pre, final)
+
+
+def roll_batch(env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray) -> BatchRollout:
+    """Roll one episode per seed, all at once, under a shared tabular policy.
+
+    cumulative is the policy's cumulative action distribution per flat
+    cell, shape (cells, 5).  Episode k replays what run_episode does on
+    default_rng(seeds[k]): the same reset draw, then one uniform per
+    active agent and step, taken in agent order, and the action is the
+    number of cumulative entries at or below it (the last, STAY, at most).
+    With slip_probability 0 the result equals run_episode's exactly.
+    Slip draws (a uniform and a direction per agent-step) come from each
+    episode's generator after the policy uniforms, so slipping rollouts
+    follow the same distribution as run_episode but not the same draws.
+    """
+    config = env.config
+    batch, n, horizon = len(seeds), config.num_agents, config.horizon
+    slip = config.slip_probability
+    uniforms = np.empty((batch, horizon * n))
+    slip_uniforms = np.empty((batch, horizon * n))
+    slip_moves = np.empty((batch, horizon * n), dtype=np.intp)
+    pos = np.empty((batch, n), dtype=np.intp)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(int(seed))
+        pos[k] = env.start_index[rng.choice(len(env.start_index), size=n, replace=False)]
+        uniforms[k] = rng.random(horizon * n)
+        if slip > 0.0:
+            slip_uniforms[k] = rng.random(horizon * n)
+            slip_moves[k] = rng.integers(len(MOVE_ACTIONS), size=horizon * n)
+
+    # Agents placed on a goal are done at t = 0 without taking a step.
+    reached = env.goal_mask[pos]
+    active = ~reached
+    lengths = np.zeros((batch, n), dtype=np.intp)
+    steps = np.zeros(batch, dtype=np.intp)
+    drawn = np.zeros((batch, 1), dtype=np.intp)  # uniforms consumed per episode
+    cells = np.empty((batch, n, horizon + 1), dtype=np.intp)
+    actions = np.empty((batch, n, horizon), dtype=np.intp)
+    events = np.empty((batch, n, horizon), dtype=np.intp)
+    cells[:, :, 0] = pos
+    span = 0
+    while span < horizon and active.any():
+        steps += active.any(axis=1)
+        lengths += active
+        taken = np.cumsum(active, axis=1)
+        draw = drawn + taken - 1
+        drawn += taken[:, -1:]
+        u = np.take_along_axis(uniforms, draw, axis=1)
+        act = np.minimum((cumulative[pos] <= u[:, :, None]).sum(axis=2), Action.STAY)
+        act[~active] = Action.STAY
+        move = act
+        if slip > 0.0:
+            slipped = active & (np.take_along_axis(slip_uniforms, draw, axis=1) < slip)
+            move = np.where(slipped, np.take_along_axis(slip_moves, draw, axis=1), act)
+        ev = np.where(env.move_blocked[pos, move], _BLOCKED, _MOVED)
+        ev[~active] = _INACTIVE
+        final = _resolve_conflicts(pos, env.move_target[pos, move], active, ev)
+        arrived = active & env.goal_mask[final]
+        ev[arrived] = _REACHED
+        reached |= arrived
+        active &= ~arrived
+        pos = final
+        actions[:, :, span] = act
+        events[:, :, span] = ev
+        span += 1
+        cells[:, :, span] = pos
+
+    return BatchRollout(
+        cells=cells[:, :, : span + 1],
+        actions=actions[:, :, :span],
+        events=events[:, :, :span],
+        lengths=lengths,
+        reached=reached,
+        steps=steps,
+    )

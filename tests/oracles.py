@@ -2,13 +2,16 @@
 
 Everything here is written from scratch against the plain definitions
 (breadth-first search, brute-force joint-move resolution, a direct scan
-for reach-avoid scoring) so that tests never check the library against
-itself.  Keep this module free of evomapf imports.
+for reach-avoid scoring, per-trajectory set loops for fitness, a row-by-row
+replicator step) so that tests never check the library against itself.
+Keep this module free of evomapf imports.
 """
 
 from __future__ import annotations
 
 from collections import deque
+
+import numpy as np
 
 
 def bfs_path_length(width, height, obstacles, start, goals):
@@ -101,3 +104,51 @@ def reach_avoid_weights(observations, a, b, c):
         else:
             weights.append(-a - (c if collided else 0.0))
     return weights
+
+
+def fitness_sums(width, height, batch, num_actions=5):
+    """Per-cell and per-(cell, action) return sums and counts, by set loops.
+
+    Each trajectory adds its return once to every distinct cell it visits
+    and every distinct (cell, action) pair it takes, in trajectory order.
+    Returns (action_sums, action_counts, state_sums, state_counts) with
+    shapes (height, width, num_actions) and (height, width).
+    """
+    action_sums = np.zeros((height, width, num_actions))
+    action_counts = np.zeros((height, width, num_actions), dtype=np.int64)
+    state_sums = np.zeros((height, width))
+    state_counts = np.zeros((height, width), dtype=np.int64)
+    for rollout, agent_returns in zip(batch.rollouts, batch.returns):
+        for traj, ret in zip(rollout.trajectories, agent_returns):
+            for cell, action in {(c, a) for c, a in zip(traj.cells, traj.actions)}:
+                action_sums[cell.y, cell.x, action] += ret
+                action_counts[cell.y, cell.x, action] += 1
+            for cell in set(traj.cells):
+                state_sums[cell.y, cell.x] += ret
+                state_counts[cell.y, cell.x] += 1
+    return action_sums, action_counts, state_sums, state_counts
+
+
+def replicator_step(probs, action_sums, action_counts, alpha):
+    """One replicator step, row by row, over (height, width, actions) tables.
+
+    Rows with observed actions move toward fitness-proportional mass on
+    those actions (fitness shifted to start at 1), keeping the prior mass
+    of the observed set; rows without observations or without prior mass
+    on them are left alone.  Returns a new table.
+    """
+    probs = probs.copy()
+    for y, x in np.argwhere(action_counts.sum(axis=2) > 0):
+        counts = action_counts[y, x]
+        mask = counts > 0
+        f = action_sums[y, x, mask] / counts[mask]
+        f = f - f.min() + 1.0
+        prior = probs[y, x, mask]
+        mass = prior.sum()
+        if mass <= 0.0:
+            continue
+        weighted = prior * f
+        target = weighted / weighted.sum() * mass
+        probs[y, x, mask] = (1.0 - alpha) * prior + alpha * target
+        probs[y, x] /= probs[y, x].sum()
+    return probs

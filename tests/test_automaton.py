@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from evomapf.automaton import (
     reach_avoid_automaton,
     reach_avoid_machine,
     runs,
+    score_observations,
     toa,
     trajectory_weight,
     valuate,
@@ -231,6 +233,44 @@ def test_online_stepping_equals_the_offline_run(obs):
     machine = reach_avoid_machine(PARAMS)
     (run,) = runs(machine.automaton, obs)
     assert machine.weights(obs) == list(run.weights)
+
+
+def test_dense_tables_match_step_reward():
+    machine = reach_avoid_machine(PARAMS)
+    assert machine.locations[machine.initial_index] == machine.initial
+    for q in machine.locations:
+        for symbol in machine.alphabet:
+            target, weight = machine.step_reward(q, symbol)
+            entry = machine.locations.index(q), machine.symbol_index[symbol]
+            assert machine.locations[machine.next_location[entry]] == target
+            assert machine.weight[entry] == weight
+
+
+# Inexact constants, so that the order of floating-point operations shows.
+UNEVEN = RewardParams(step_penalty=0.37, goal_reward=55.1, collision_penalty=30.3, horizon=40, gamma=0.97)
+
+
+@given(
+    sequences=st.lists(observation_lists, min_size=1, max_size=6),
+    gamma=st.floats(min_value=0.5, max_value=1.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_score_observations_equals_valuate_of_machine_weights(sequences, gamma):
+    machine = reach_avoid_machine(UNEVEN)
+    span = max(len(obs) for obs in sequences) + 1
+    in_goal = np.zeros((len(sequences), span), dtype=bool)
+    collided = np.zeros((len(sequences), span), dtype=bool)
+    for k, obs in enumerate(sequences):
+        for t, (g, c) in enumerate(obs):
+            in_goal[k, t], collided[k, t] = g, c
+    count = np.array([len(obs) for obs in sequences])
+    valuations = [SUM, discounted_sum(gamma)] + ([AVG] if count.min() > 0 else [])
+    for valuation in valuations:
+        weights, values = score_observations(machine, in_goal, collided, count, valuation)
+        for k, obs in enumerate(sequences):
+            expected = machine.weights(obs)
+            assert weights[k, : len(obs)].tolist() == expected
+            assert values[k] == valuate(expected, valuation)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evomapf.automaton import SUM, RewardParams, reach_avoid_machine
+from evomapf import egt
+from evomapf.automaton import (
+    AVG,
+    SUM,
+    RewardParams,
+    discounted_sum,
+    reach_avoid_machine,
+    valuate,
+)
 from evomapf.egt import (
     EpisodeBatch,
     FitnessTable,
@@ -33,6 +41,8 @@ from evomapf.gridworld import (
     parse_map,
     run_episode,
 )
+
+from oracles import fitness_sums, replicator_step
 
 
 STRIP = parse_map("....G\n")
@@ -225,6 +235,27 @@ def test_replicator_preserves_fitness_order_from_a_uniform_prior(values, alpha):
                 assert row[i] >= row[j] - 1e-12
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_replicator_update_equals_the_row_loop(seed, alpha):
+    """Random tables, with zero-probability actions, rows without prior mass on
+    their observed actions, and unobserved rows, match the oracle bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = (3, 4, 5)
+    probs = rng.random(shape) * (rng.random(shape) < 0.6)
+    probs[probs.sum(axis=2) == 0, 0] = 1.0
+    probs /= probs.sum(axis=2, keepdims=True)
+    table = FitnessTable.zeros(parse_map("...G\n....\n....\n"))
+    table.action_counts[:] = rng.integers(0, 3, shape) * (rng.random(shape) < 0.5)
+    table.action_sums[:] = rng.normal(0.0, 10.0 ** rng.integers(0, 4), shape) * table.action_counts
+    policy = TabularPolicy(4, 3, probs, [])
+    updated = replicator_update(policy, table, alpha)
+    assert np.array_equal(updated.probs, replicator_step(probs, table.action_sums, table.action_counts, alpha))
+
+
 # ---------------------------------------------------------------------------
 # uniform mixing
 
@@ -295,6 +326,157 @@ def test_batch_size_must_be_positive():
     machine = reach_avoid_machine(STRIP_REWARDS)
     with pytest.raises(ConfigError, match="batch_size"):
         sample_batch(TabularPolicy.uniform(STRIP), env, machine, SUM, 0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the scalar path
+
+
+def scalar_batch(policy, env, machine, valuation, batch_size, rng) -> EpisodeBatch:
+    """sample_batch's reference: run_episode per derived seed, scored per trajectory."""
+    seeds = rng.integers(0, 2**63 - 1, size=batch_size)
+    rollouts = [run_episode(env, policy, np.random.default_rng(int(seed))) for seed in seeds]
+    weights = [[machine.weights(t.observations()) for t in r.trajectories] for r in rollouts]
+    returns = [[valuate(w, valuation) for w in ws] for ws in weights]
+    return EpisodeBatch(rollouts, weights, returns)
+
+
+def scalar_fitness(batch, grid) -> FitnessTable:
+    return FitnessTable(*fitness_sums(grid.width, grid.height, batch))
+
+
+def scalar_replicator(policy, fitness, alpha) -> TabularPolicy:
+    probs = replicator_step(policy.probs, fitness.action_sums, fitness.action_counts, alpha)
+    return TabularPolicy(policy.width, policy.height, probs, policy.cells)
+
+
+def assert_same_batch(batch: EpisodeBatch, reference: EpisodeBatch) -> None:
+    assert len(batch.rollouts) == len(reference.rollouts)
+    for got, want in zip(batch.rollouts, reference.rollouts):
+        assert got.steps == want.steps
+        for t, u in zip(got.trajectories, want.trajectories, strict=True):
+            assert (t.cells, t.actions, t.events, t.reached) == (u.cells, u.actions, u.events, u.reached)
+            assert all(type(c) is Cell for c in t.cells)
+            assert all(type(a) is Action for a in t.actions)
+    assert batch.weight_sequences == reference.weight_sequences
+    assert batch.returns == reference.returns
+
+
+def assert_same_fitness(table: FitnessTable, reference: FitnessTable) -> None:
+    for name in ("action_sums", "action_counts", "state_sums", "state_counts"):
+        got, want = getattr(table, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def random_policy(grid, seed: int, zero_share: float) -> TabularPolicy:
+    """Random rows with about zero_share of the actions at probability 0."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((grid.height, grid.width, 5)) * (rng.random((grid.height, grid.width, 5)) >= zero_share)
+    probs[probs.sum(axis=2) == 0, 4] = 1.0
+    probs /= probs.sum(axis=2, keepdims=True)
+    return TabularPolicy(grid.width, grid.height, probs, grid.free_cells())
+
+
+@st.composite
+def crowded_worlds(draw):
+    """Small maps holding up to six agents, so reverts can cascade."""
+    width = draw(st.integers(min_value=1, max_value=5))
+    height = draw(st.integers(min_value=1, max_value=4))
+    rows = [[draw(st.sampled_from("....#G")) for _ in range(width)] for _ in range(height)]
+    rows[draw(st.integers(0, height - 1))][draw(st.integers(0, width - 1))] = "G"
+    grid = parse_map("\n".join("".join(r) for r in rows) + "\n")
+    num_agents = draw(st.integers(min_value=1, max_value=min(6, len(grid.starts))))
+    horizon = draw(st.integers(min_value=1, max_value=12))
+    return grid, EnvConfig(grid=grid, num_agents=num_agents, horizon=horizon)
+
+
+@given(
+    world=crowded_worlds(),
+    policy_seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.4, 0.8]),
+    batch_seed=st.integers(0, 2**32 - 1),
+    valuation=st.sampled_from([SUM, AVG, discounted_sum(0.9)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_rollouts_equal_run_episode(world, policy_seed, zero_share, batch_seed, valuation):
+    grid, config = world
+    env = GridEnv(config)
+    machine = reach_avoid_machine(RewardParams.default_for(config.horizon))
+    policy = random_policy(grid, policy_seed, zero_share)
+    batch = sample_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
+    reference = scalar_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
+    assert_same_batch(batch, reference)
+    assert_same_fitness(estimate_fitness(batch, grid), scalar_fitness(reference, grid))
+
+
+@pytest.mark.parametrize(
+    "text, moves, events",
+    [
+        # Three movers queue behind an agent that stays: each revert uncovers the next.
+        ("SSSSG\n", {0: Action.RIGHT, 1: Action.RIGHT, 2: Action.RIGHT, 3: Action.STAY},
+         {StepEvent.VERTEX_CONFLICT}),
+        # Two agents trade places head on.
+        ("GSSG\n", {1: Action.RIGHT, 2: Action.LEFT}, {StepEvent.SWAP_CONFLICT}),
+    ],
+)
+def test_batched_conflicts_equal_run_episode(text, moves, events):
+    grid = parse_map(text)
+    config = EnvConfig(grid=grid, num_agents=len(grid.starts), horizon=3)
+    probs = np.zeros((1, grid.width, 5))
+    probs[0, :, Action.STAY] = 1.0
+    for x, action in moves.items():
+        probs[0, x] = np.eye(5)[action]
+    policy = TabularPolicy(grid.width, 1, probs, grid.free_cells())
+    env = GridEnv(config)
+    machine = reach_avoid_machine(RewardParams.default_for(3))
+    batch = sample_batch(policy, env, machine, SUM, 4, np.random.default_rng(0))
+    assert_same_batch(batch, scalar_batch(policy, env, machine, SUM, 4, np.random.default_rng(0)))
+    seen = {e for r in batch.rollouts for t in r.trajectories for e in t.events}
+    assert seen == events
+
+
+def test_training_is_bit_identical_to_the_scalar_path(monkeypatch):
+    grid = parse_map("....#\n.#..G\n..#..\nG....\n")
+    config = TrainConfig(
+        env=EnvConfig(grid=grid, num_agents=3, horizon=16),
+        valuation=discounted_sum(0.97),
+        batch_size=64,
+        max_iterations=10,
+        patience=11,
+        alpha=0.3,
+    )
+    batched = train(config, np.random.default_rng(5))
+    monkeypatch.setattr(egt, "sample_batch", scalar_batch)
+    monkeypatch.setattr(egt, "estimate_fitness", scalar_fitness)
+    monkeypatch.setattr(egt, "replicator_update", scalar_replicator)
+    scalar = train(config, np.random.default_rng(5))
+    assert batched.batch_returns == scalar.batch_returns
+    assert np.array_equal(batched.policy.probs, scalar.policy.probs)
+
+
+def test_slipping_rollouts_match_run_episode_in_distribution():
+    """With slip > 0 the kernel draws slips after the policy uniforms, so only the
+    distribution can agree: success rate and mean arrival time within 4 standard errors."""
+    grid = parse_map("......\n.#..#.\n......\n..#..G\n")
+    config = EnvConfig(grid=grid, num_agents=2, horizon=24, slip_probability=0.3)
+    env = GridEnv(config)
+    policy = mix_with_uniform(single_action_policy(grid, Action.RIGHT), 0.5)
+    machine = reach_avoid_machine(RewardParams.default_for(config.horizon))
+    episodes = 3000
+    batched = sample_batch(policy, env, machine, SUM, episodes, np.random.default_rng(1)).rollouts
+    scalar = [run_episode(env, policy, np.random.default_rng([2, k])) for k in range(episodes)]
+
+    def arrivals(rollouts):
+        return [t.arrival_time for r in rollouts for t in r.trajectories]
+
+    got, want = arrivals(batched), arrivals(scalar)
+    success = [np.mean([a is not None for a in x]) for x in (got, want)]
+    p = np.mean(success)
+    assert 0.2 < p < 0.8
+    assert abs(success[0] - success[1]) < 4 * np.sqrt(2 * p * (1 - p) / len(got))
+    times = [np.array([a for a in x if a is not None], dtype=float) for x in (got, want)]
+    se = np.sqrt(sum(t.var() / len(t) for t in times))
+    assert abs(times[0].mean() - times[1].mean()) < 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +627,32 @@ def test_load_policy_rejects_out_of_range_cells(tmp_path):
     path.write_text("# evomapf policy v1\n# width = 1\n# height = 1\n3,0 0.2 0.2 0.2 0.2 0.2\n")
     with pytest.raises(ConfigError, match="outside the declared 1x1 grid"):
         load_policy(str(path))
+
+
+@pytest.mark.parametrize(
+    "row, complaint",
+    [
+        ("nan 0.25 0.25 0.25 0.25", "non-finite"),
+        ("inf 0.0 0.0 0.0 0.0", "non-finite"),
+        ("-0.1 0.3 0.3 0.3 0.2", "negative"),
+        ("0.2 0.2 0.2 0.2 0.3", "sums to"),
+        ("0.2 0.2 0.2 0.2 0.2000001", "sums to"),
+    ],
+)
+def test_load_policy_rejects_rows_off_the_simplex(tmp_path, row, complaint):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# evomapf policy v1\n# width = 2\n# height = 1\n0,0 0.2 0.2 0.2 0.2 0.2\n1,0 {row}\n")
+    with pytest.raises(ConfigError, match=f"row '1,0' .*{complaint}"):
+        load_policy(str(path))
+
+
+def test_a_trained_policy_round_trips_through_a_file(tmp_path):
+    config = TrainConfig(env=EnvConfig(grid=STRIP, horizon=6), batch_size=16, max_iterations=20, patience=21)
+    policy = train(config, np.random.default_rng(3)).policy
+    path = str(tmp_path / "trained.txt")
+    save_policy(policy, path)
+    loaded, _ = load_policy(path)
+    assert np.array_equal(loaded.probs, policy.probs)
 
 
 def test_load_policy_requires_dimensions(tmp_path):

@@ -157,6 +157,21 @@ def test_reset_is_deterministic_in_the_seed():
     assert a == b
 
 
+def test_move_tables_agree_with_single_agent_steps():
+    grid = parse_map("..#G\n.#..\n....\n")
+    env = GridEnv(EnvConfig(grid=grid, num_agents=1))
+    assert env.start_cells == sorted(grid.starts)
+    assert [env.cells[i] for i in np.flatnonzero(env.goal_mask)] == sorted(grid.goals, key=lambda c: (c.y, c.x))
+    # Active agents never stand on a goal: they despawn on arrival.
+    for cell in set(grid.free_cells()) - grid.goals:
+        index = cell.y * grid.width + cell.x
+        assert env.cells[index] == cell
+        for action in Action:
+            (after,), (event,) = env.step((AgentStatus(cell),), [action], np.random.default_rng(0))
+            assert env.cells[env.move_target[index, action]] == after.cell
+            assert env.move_blocked[index, action] == (event is StepEvent.BLOCKED_BY_OBSTACLE)
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
