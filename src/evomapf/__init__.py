@@ -7,22 +7,16 @@ learning baselines, and a benchmark harness over random maps.
 
 from .automaton import (
     AVG,
+    DONE,
+    SEEKING,
     SUM,
     OBSERVATION_ALPHABET,
-    IncompleteAutomatonError,
     RewardMachine,
     RewardParams,
-    RunResult,
-    Transition,
     Valuation,
-    WeightedAutomaton,
     discounted_sum,
-    reach_avoid_automaton,
     reach_avoid_machine,
-    runs,
     score_observations,
-    toa,
-    trajectory_weight,
     valuate,
 )
 from .baselines import (
@@ -75,9 +69,11 @@ from .gridworld import (
     MapParseError,
     StepEvent,
     default_horizon,
+    episode_steps,
     format_map,
     parse_map,
     roll_batch,
+    roll_episode,
     run_episode,
 )
 

@@ -1,21 +1,19 @@
-"""Weighted automata over observation symbols, and the reach-avoid reward built on them.
+"""The reach-avoid reward as a weighted-automaton table, and valuations that fold its weights.
 
-An automaton reads a finite symbol sequence and produces one weight per
-symbol along each run.  Runs start in an initial location; a run is
-accepting when its last location is final.  A valuation (sum, average,
-or discounted sum) folds a weight sequence into a single number, and the
-weight of a trajectory is the maximum valuation over its runs.
+The reward is a deterministic weighted automaton over (in_goal, collided)
+observations with two locations: SEEKING until the first goal visit,
+then DONE.  It is stored as its transition table, the table form of a
+reward machine: next_location[q, s] and weight[q, s] for location q and
+symbol s = 2 * in_goal + collided, the index of the observation in
+OBSERVATION_ALPHABET.  A valuation (sum, average, or discounted sum)
+folds the weight sequence of a trajectory into a single number.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .gridworld import Cell
-
-Symbol = Hashable
 
 # Alphabet of reward observations: (in_goal, collision).
 OBSERVATION_ALPHABET: tuple[tuple[bool, bool], ...] = (
@@ -25,101 +23,9 @@ OBSERVATION_ALPHABET: tuple[tuple[bool, bool], ...] = (
     (True, True),
 )
 
-
-class IncompleteAutomatonError(RuntimeError):
-    """A run got stuck: some location has no successor for a symbol."""
-
-    def __init__(self, location: str, symbol: Symbol):
-        super().__init__(f"no transition from location {location!r} on symbol {symbol!r}")
-        self.location = location
-        self.symbol = symbol
-
-
-@dataclass(frozen=True)
-class Transition:
-    source: str
-    guard: Callable[[Symbol], bool]
-    target: str
-    weight: float | Callable[[Symbol], float]
-
-    def weight_for(self, symbol: Symbol) -> float:
-        return self.weight(symbol) if callable(self.weight) else self.weight
-
-
-@dataclass(frozen=True)
-class RunResult:
-    locations: tuple[str, ...]
-    weights: tuple[float, ...]
-    accepting: bool
-
-
-class WeightedAutomaton:
-    def __init__(
-        self,
-        locations: Iterable[str],
-        initial: Iterable[str],
-        final: Iterable[str],
-        transitions: Iterable[Transition],
-    ):
-        self.locations = frozenset(locations)
-        self.initial = frozenset(initial)
-        self.final = frozenset(final)
-        self.transitions = tuple(transitions)
-        if not self.initial <= self.locations:
-            raise ValueError("initial locations must be a subset of locations")
-        if not self.final <= self.locations:
-            raise ValueError("final locations must be a subset of locations")
-        for t in self.transitions:
-            if t.source not in self.locations or t.target not in self.locations:
-                raise ValueError(f"transition {t.source!r} -> {t.target!r} uses unknown locations")
-
-    def successors(self, location: str, symbol: Symbol) -> list[tuple[str, float]]:
-        """All (target, weight) pairs whose guard accepts the symbol."""
-        return [
-            (t.target, t.weight_for(symbol))
-            for t in self.transitions
-            if t.source == location and t.guard(symbol)
-        ]
-
-    def is_complete(self, symbols: Iterable[Symbol]) -> bool:
-        """Every (location, symbol) pair has at least one successor."""
-        return all(
-            self.successors(q, s) for q in sorted(self.locations) for s in symbols
-        )
-
-    def is_deterministic(self, symbols: Iterable[Symbol]) -> bool:
-        """Single initial location and exactly one successor per (location, symbol)."""
-        if len(self.initial) != 1:
-            return False
-        return all(
-            len(self.successors(q, s)) == 1
-            for q in sorted(self.locations)
-            for s in symbols
-        )
-
-
-def runs(automaton: WeightedAutomaton, symbols: Sequence[Symbol]) -> list[RunResult]:
-    """Enumerate every run of the automaton on the symbol sequence.
-
-    Raises IncompleteAutomatonError if any run gets stuck.  The empty
-    sequence yields one zero-weight run per initial location.
-    """
-    partial: list[tuple[list[str], list[float]]] = [
-        ([q], []) for q in sorted(automaton.initial)
-    ]
-    for symbol in symbols:
-        extended: list[tuple[list[str], list[float]]] = []
-        for locs, weights in partial:
-            succ = automaton.successors(locs[-1], symbol)
-            if not succ:
-                raise IncompleteAutomatonError(locs[-1], symbol)
-            for target, w in succ:
-                extended.append((locs + [target], weights + [w]))
-        partial = extended
-    return [
-        RunResult(tuple(locs), tuple(weights), locs[-1] in automaton.final)
-        for locs, weights in partial
-    ]
+# Locations of the reach-avoid automaton, as row indices of its table.
+SEEKING = 0
+DONE = 1
 
 
 @dataclass(frozen=True)
@@ -157,13 +63,6 @@ def valuate(weights: Sequence[float], valuation: Valuation) -> float:
         total += g * w
         g *= valuation.gamma
     return total
-
-
-def trajectory_weight(
-    automaton: WeightedAutomaton, symbols: Sequence[Symbol], valuation: Valuation
-) -> float:
-    """Maximum valuation over all runs; the max resolves nondeterminism."""
-    return max(valuate(r.weights, valuation) for r in runs(automaton, symbols))
 
 
 @dataclass(frozen=True)
@@ -205,98 +104,39 @@ class RewardParams:
         )
 
 
-SEEKING = "seeking"
-DONE = "done"
-
-
-def reach_avoid_automaton(params: RewardParams) -> WeightedAutomaton:
-    """Two-location automaton over (in_goal, collision) observations.
-
-    Before the first goal visit each step costs step_penalty (plus
-    collision_penalty when the step collided); the first goal visit pays
-    goal_reward; afterwards only collisions cost anything.  Accepting
-    means the goal was visited.
-    """
-    a = params.step_penalty
-    b = params.goal_reward
-    c = params.collision_penalty
-
-    def seeking_weight(sym: Symbol) -> float:
-        _, collided = sym
-        return -a - (c if collided else 0.0)
-
-    def arrival_weight(sym: Symbol) -> float:
-        _, collided = sym
-        return b - (c if collided else 0.0)
-
-    def done_weight(sym: Symbol) -> float:
-        _, collided = sym
-        return -c if collided else 0.0
-
-    return WeightedAutomaton(
-        locations=[SEEKING, DONE],
-        initial=[SEEKING],
-        final=[DONE],
-        transitions=[
-            Transition(SEEKING, lambda s: not s[0], SEEKING, seeking_weight),
-            Transition(SEEKING, lambda s: s[0], DONE, arrival_weight),
-            Transition(DONE, lambda s: True, DONE, done_weight),
-        ],
-    )
-
-
 class RewardMachine:
-    """Online interface to a deterministic, complete weighted automaton."""
+    """The reach-avoid automaton's (location, symbol) table, stepped online or in batches."""
 
-    def __init__(self, automaton: WeightedAutomaton, alphabet: Sequence[Symbol]):
-        if not automaton.is_complete(alphabet):
-            raise ValueError("reward machine needs a complete automaton over its alphabet")
-        if not automaton.is_deterministic(alphabet):
-            raise ValueError("reward machine needs a deterministic automaton")
-        self.automaton = automaton
-        self.alphabet = tuple(alphabet)
-        (self.initial,) = automaton.initial
-        # Dense lookup: (location, symbol) -> (next location, transition).
-        self._table: dict[tuple[str, Symbol], tuple[str, Transition]] = {}
-        for q in automaton.locations:
-            for s in self.alphabet:
-                for t in automaton.transitions:
-                    if t.source == q and t.guard(s):
-                        self._table[(q, s)] = (t.target, t)
-                        break
-        # The same table as arrays over location and symbol indices.
-        self.locations = tuple(sorted(automaton.locations))
-        self.symbol_index = {s: k for k, s in enumerate(self.alphabet)}
-        location_index = {q: k for k, q in enumerate(self.locations)}
-        self.initial_index = location_index[self.initial]
-        shape = (len(self.locations), len(self.alphabet))
-        self.next_location = np.empty(shape, dtype=np.intp)
-        self.weight = np.empty(shape)
-        for (q, s), (target, t) in self._table.items():
-            cell = location_index[q], self.symbol_index[s]
-            self.next_location[cell] = location_index[target]
-            self.weight[cell] = t.weight_for(s)
+    def __init__(self, next_location: np.ndarray, weight: np.ndarray):
+        self.next_location = next_location  # (2, 4) location indices
+        self.weight = weight  # (2, 4) emitted weights
 
-    def step_reward(self, location: str, symbol: Symbol) -> tuple[str, float]:
-        """One online step: the successor location and the emitted weight."""
-        hit = self._table.get((location, symbol))
-        if hit is None:
-            raise IncompleteAutomatonError(location, symbol)
-        target, transition = hit
-        return target, transition.weight_for(symbol)
-
-    def weights(self, symbols: Iterable[Symbol]) -> list[float]:
-        """Weight sequence of the unique run over the symbols."""
-        q = self.initial
+    def weights(self, symbols: Iterable[tuple[bool, bool]]) -> list[float]:
+        """Weight sequence of the run from SEEKING over the (in_goal, collided) symbols."""
+        next_location = self.next_location.tolist()
+        weight = self.weight.tolist()
+        q = SEEKING
         out = []
-        for s in symbols:
-            q, w = self.step_reward(q, s)
-            out.append(w)
+        for in_goal, collided in symbols:
+            s = 2 * in_goal + collided
+            out.append(weight[q][s])
+            q = next_location[q][s]
         return out
 
 
 def reach_avoid_machine(params: RewardParams) -> RewardMachine:
-    return RewardMachine(reach_avoid_automaton(params), OBSERVATION_ALPHABET)
+    """The reach-avoid table for the given reward shape.
+
+    Before the first goal visit each step costs step_penalty (plus
+    collision_penalty when the step collided); the first goal visit pays
+    goal_reward; afterwards only collisions cost anything.
+    """
+    a = params.step_penalty
+    b = params.goal_reward
+    c = params.collision_penalty
+    next_location = np.array([[SEEKING, SEEKING, DONE, DONE], [DONE] * 4], dtype=np.intp)
+    weight = np.array([[-a, -a - c, b, b - c], [0.0, -c, 0.0, -c]])
+    return RewardMachine(next_location, weight)
 
 
 def score_observations(
@@ -314,17 +154,11 @@ def score_observations(
     each sequence, equal to valuate(machine.weights(obs), valuation):
     the values are folded step by step in valuate's order of operations.
     """
-    try:
-        columns = np.array(
-            [[machine.symbol_index[(g, c)] for c in (False, True)] for g in (False, True)]
-        )
-    except KeyError as missing:
-        raise IncompleteAutomatonError(machine.initial, missing.args[0]) from None
     if valuation.kind == "avg" and (count == 0).any():
         raise ValueError("average of an empty weight sequence is undefined")
-    symbols = columns[in_goal.astype(np.intp), collided.astype(np.intp)]
+    symbols = 2 * in_goal.astype(np.intp) + collided
     gamma = valuation.gamma if valuation.kind == "discounted_sum" else 1.0
-    location = np.full(count.shape, machine.initial_index)
+    location = np.full(count.shape, SEEKING)
     weights = np.empty(in_goal.shape)
     total = np.zeros(count.shape)
     g = 1.0
@@ -337,11 +171,3 @@ def score_observations(
     if valuation.kind == "avg":
         total = total / count
     return weights, total
-
-
-def toa(cells: Sequence[Cell], goals: frozenset[Cell] | set[Cell]) -> int | None:
-    """Time of arrival: index of the first visited goal cell, or None."""
-    for t, cell in enumerate(cells):
-        if cell in goals:
-            return t
-    return None

@@ -15,13 +15,14 @@ from .automaton import RewardParams, reach_avoid_machine, SEEKING
 from .egt import NUM_ACTIONS, TabularPolicy
 from .gridworld import (
     Action,
-    AgentStatus,
     Cell,
     COLLISION_EVENTS,
+    ConfigError,
     EnvConfig,
     GridEnv,
     GridMap,
     StepEvent,
+    episode_steps,
 )
 
 
@@ -85,6 +86,17 @@ class LearnerParams:
     epsilon_min: float = 0.02
     mc_batch: int = 50  # Monte-Carlo: episodes per policy-improvement batch
 
+    def __post_init__(self) -> None:
+        if self.episodes < 1:
+            raise ConfigError("episodes must be at least 1")
+        if self.mc_batch < 1:
+            raise ConfigError("mc_batch must be at least 1")
+        for name in ("learning_rate", "gamma", "epsilon", "epsilon_decay", "epsilon_min"):
+            value = getattr(self, name)
+            # Also false for NaN.
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
+
 
 def _greedy_policy_from_q(q: np.ndarray, grid: GridMap) -> TabularPolicy:
     probs = np.zeros_like(q)
@@ -98,17 +110,6 @@ def _pick_epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Gener
     if rng.random() < epsilon:
         return Action(int(rng.integers(NUM_ACTIONS)))
     return Action(int(np.argmax(q_row)))
-
-
-def _settle_initial(state, goals):
-    """Despawn agents that start on a goal, mirroring run_episode."""
-    settled = []
-    for st in state:
-        if st.active and st.cell in goals:
-            settled.append(AgentStatus(st.cell, reached=True, active=False))
-        else:
-            settled.append(st)
-    return tuple(settled)
 
 
 def qlearning_table(
@@ -126,29 +127,19 @@ def qlearning_table(
     """
     env = GridEnv(env_config)
     grid = env_config.grid
-    machine = reach_avoid_machine(rewards)
-    penalty_plain = machine.step_reward(SEEKING, (False, False))[1]
-    penalty_collision = machine.step_reward(SEEKING, (False, True))[1]
-    arrival_bonus = machine.step_reward(SEEKING, (True, False))[1]
+    seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
+    penalty_plain, penalty_collision, arrival_bonus = seeking[:3]
     q = np.zeros((grid.height, grid.width, NUM_ACTIONS))
     epsilon = params.epsilon
     lr = params.learning_rate
     gamma = params.gamma
 
+    def choose(agent: int, cell: Cell) -> Action:
+        return _pick_epsilon_greedy(q[cell.y, cell.x], epsilon, rng)
+
     for _ in range(params.episodes):
-        state = _settle_initial(env.reset(rng), grid.goals)
-        for _ in range(env_config.horizon):
-            if not any(st.active for st in state):
-                break
-            actions = [
-                _pick_epsilon_greedy(q[st.cell.y, st.cell.x], epsilon, rng)
-                if st.active
-                else Action.STAY
-                for st in state
-            ]
-            was = state
-            state, events = env.step(state, actions, rng)
-            for i, st in enumerate(was):
+        for before, actions, after, events in episode_steps(env, env.reset(rng), choose, rng):
+            for i, st in enumerate(before):
                 if not st.active:
                     continue
                 ev = events[i]
@@ -156,7 +147,7 @@ def qlearning_table(
                 terminal = ev is StepEvent.REACHED_GOAL
                 if terminal:
                     reward += arrival_bonus
-                nxt = state[i].cell
+                nxt = after[i].cell
                 target = reward if terminal else reward + gamma * q[nxt.y, nxt.x].max()
                 sy, sx = st.cell.y, st.cell.x
                 q[sy, sx, actions[i]] += lr * (target - q[sy, sx, actions[i]])
@@ -188,34 +179,24 @@ def monte_carlo_table(
     """
     env = GridEnv(env_config)
     grid = env_config.grid
-    machine = reach_avoid_machine(rewards)
-    penalty_plain = machine.step_reward(SEEKING, (False, False))[1]
-    penalty_collision = machine.step_reward(SEEKING, (False, True))[1]
-    arrival_bonus = machine.step_reward(SEEKING, (True, False))[1]
+    seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
+    penalty_plain, penalty_collision, arrival_bonus = seeking[:3]
     sums = np.zeros((grid.height, grid.width, NUM_ACTIONS))
     counts = np.zeros((grid.height, grid.width, NUM_ACTIONS), dtype=np.int64)
     q = np.zeros_like(sums)
     epsilon = params.epsilon
     gamma = params.gamma
 
+    def choose(agent: int, cell: Cell) -> Action:
+        return _pick_epsilon_greedy(q[cell.y, cell.x], epsilon, rng)
+
     done = 0
     while done < params.episodes:
         batch = min(params.mc_batch, params.episodes - done)
         for _ in range(batch):
-            state = _settle_initial(env.reset(rng), grid.goals)
-            steps: list[list[tuple[Cell, Action, float]]] = [[] for _ in state]
-            for _ in range(env_config.horizon):
-                if not any(st.active for st in state):
-                    break
-                actions = [
-                    _pick_epsilon_greedy(q[st.cell.y, st.cell.x], epsilon, rng)
-                    if st.active
-                    else Action.STAY
-                    for st in state
-                ]
-                was = state
-                state, events = env.step(state, actions, rng)
-                for i, st in enumerate(was):
+            steps: list[list[tuple[Cell, Action, float]]] = [[] for _ in range(env_config.num_agents)]
+            for before, actions, _, events in episode_steps(env, env.reset(rng), choose, rng):
+                for i, st in enumerate(before):
                     if not st.active:
                         continue
                     ev = events[i]

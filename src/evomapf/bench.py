@@ -20,7 +20,6 @@ from .egt import TabularPolicy, TrainConfig, train
 from .gridworld import (
     ACTION_NAMES,
     Action,
-    AgentStatus,
     Cell,
     CONFLICT_EVENTS,
     ConfigError,
@@ -29,6 +28,7 @@ from .gridworld import (
     GridEnv,
     GridMap,
     JointState,
+    roll_episode,
     run_episode,
 )
 
@@ -128,39 +128,9 @@ class _PlanFollower:
 
 def plan_rollout(env: GridEnv, rng: np.random.Generator, initial_state: JointState | None = None) -> EpisodeRollout:
     """Plan per agent with A* at reset, then execute jointly in the environment."""
-    from .gridworld import AgentTrajectory
-
     state = env.reset(rng) if initial_state is None else initial_state
     followers = [_PlanFollower(env.grid, st.cell) for st in state]
-    trajs = [AgentTrajectory(cells=[st.cell]) for st in state]
-    settled = []
-    for i, st in enumerate(state):
-        if st.active and st.cell in env.grid.goals:
-            trajs[i].reached = True
-            settled.append(AgentStatus(st.cell, reached=True, active=False))
-        else:
-            settled.append(st)
-    state = tuple(settled)
-    steps = 0
-    for _ in range(env.config.horizon):
-        if not any(st.active for st in state):
-            break
-        actions = [
-            followers[i].next_action(st.cell) if st.active else Action.STAY
-            for i, st in enumerate(state)
-        ]
-        was_active = [st.active for st in state]
-        state, events = env.step(state, actions, rng)
-        steps += 1
-        for i, traj in enumerate(trajs):
-            if not was_active[i]:
-                continue
-            traj.actions.append(actions[i])
-            traj.events.append(events[i])
-            traj.cells.append(state[i].cell)
-            if state[i].reached:
-                traj.reached = True
-    return EpisodeRollout(trajectories=trajs, steps=steps)
+    return roll_episode(env, state, lambda i, cell: followers[i].next_action(cell), rng)
 
 
 def evaluate(

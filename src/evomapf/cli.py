@@ -4,14 +4,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
 from .baselines import monte_carlo_train, qlearning_train
-from .bench import AStarPlanner, Metrics, evaluate, generate_map, metrics_row, write_csv
+from .bench import evaluate, generate_map, metrics_row, run_suite, write_csv
 from .config import RunConfig, load_config
-from .egt import TabularPolicy, load_policy, save_policy, train
-from .gridworld import ConfigError, GridEnv, MapParseError, format_map
+from .egt import load_policy, save_policy, train
+from .gridworld import ConfigError, MapParseError, format_map
 
 
 def _echo_env(config: RunConfig, env) -> dict[str, str]:
@@ -77,8 +78,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     else:
         params = config.build_learner_params()
-        import time
-
         started = time.perf_counter()
         trainer = qlearning_train if algorithm == "qlearning" else monte_carlo_train
         policy = trainer(env, rewards, params, rng)
@@ -112,6 +111,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"policy {args.policy!r} was trained on a {found[0]}x{found[1]} grid "
             f"but the configured map is {expected[0]}x{expected[1]}"
+        )
+    missing = sorted(set(env.grid.free_cells()) - set(policy.cells), key=lambda c: (c.y, c.x))
+    if missing:
+        raise ConfigError(
+            f"policy {args.policy!r} has no row for free cell ({missing[0].x},{missing[0].y}) "
+            f"of the configured map ({len(missing)} missing); it was trained on another map"
         )
     rng = np.random.default_rng(env.seed)
     metrics = evaluate(policy, env, args.episodes, rng)
@@ -152,8 +157,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "suite.slip_probability": repr(suite.slip_probability),
         "suite.seed": str(suite.seed),
     }
-    from .bench import run_suite
-
     rows = run_suite(suite, out_path=args.out, header_meta=header)
     failures = [row for row in rows if row["error"]]
     print(f"wrote {len(rows)} rows to {args.out}" if args.out else f"{len(rows)} rows")

@@ -138,14 +138,13 @@ class RunConfig:
     def build_train(self, env: EnvConfig) -> TrainConfig:
         rewards = self.build_rewards(env.horizon)
         defaults = TrainConfig(env=env)
-        delta_raw = self.get("train", "delta")
         return TrainConfig(
             env=env,
             rewards=rewards,
             valuation=self.build_valuation(),
             nu=self._typed("train", "nu", defaults.nu, float, "a float"),
             epsilon=self._typed("train", "epsilon", defaults.epsilon, float, "a float"),
-            delta=float(delta_raw) if delta_raw is not None else None,
+            delta=self._typed("train", "delta", defaults.delta, float, "a float"),
             alpha=self._typed("train", "alpha", defaults.alpha, float, "a float"),
             batch_size=self._typed("train", "batch_size", defaults.batch_size, int, "an integer"),
             max_iterations=self._typed(

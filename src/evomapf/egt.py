@@ -291,8 +291,8 @@ class TrainConfig:
             raise ConfigError("max_iterations must be at least 1")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
-        if self.delta is not None and self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        if self.delta is not None and not 0.0 < self.delta < math.inf:
+            raise ConfigError(f"delta must be positive and finite, got {self.delta!r}")
 
     def resolved_rewards(self) -> RewardParams:
         if self.rewards is not None:

@@ -6,14 +6,16 @@ obstacles are blocked in place, and agents that end up sharing a cell or
 swapping cells are reverted to where they stood.  An agent that enters a
 goal cell despawns at the end of that step.
 
-`run_episode` rolls one episode through `GridEnv.step`; `roll_batch` rolls
-many at once over flat cell indices with the same rules and random draws.
+`episode_steps` plays one episode through `GridEnv.step` under any action
+choice; `run_episode`, the A* replay and the tabular learners all run on
+it.  `roll_batch` rolls many episodes at once over flat cell indices with
+the same rules and random draws.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -390,6 +392,49 @@ class EpisodeRollout:
         return all(t.reached for t in self.trajectories)
 
 
+def episode_steps(
+    env: GridEnv, state: JointState, choose: Callable[[int, Cell], Action], rng: np.random.Generator
+) -> Iterator[tuple[JointState, list[Action], JointState, list[StepEvent]]]:
+    """Play one episode from state, yielding (before, actions, after, events) per step.
+
+    Agents placed on a goal are done at t = 0 without taking a step.
+    choose(agent, cell) -> Action is called for each active agent in
+    agent order, after the previous step has been yielded.  The episode
+    ends at the horizon or once no agent is active.
+    """
+    goals = env.grid.goals
+    state = tuple(
+        AgentStatus(st.cell, reached=True, active=False) if st.active and st.cell in goals else st
+        for st in state
+    )
+    for _ in range(env.config.horizon):
+        if not any(st.active for st in state):
+            return
+        actions = [choose(i, st.cell) if st.active else Action.STAY for i, st in enumerate(state)]
+        after, events = env.step(state, actions, rng)
+        yield state, actions, after, events
+        state = after
+
+
+def roll_episode(
+    env: GridEnv, state: JointState, choose: Callable[[int, Cell], Action], rng: np.random.Generator
+) -> EpisodeRollout:
+    """Record the episode_steps of one episode as an EpisodeRollout."""
+    trajs = [AgentTrajectory(cells=[st.cell]) for st in state]
+    steps = 0
+    for before, actions, after, events in episode_steps(env, state, choose, rng):
+        steps += 1
+        for i, traj in enumerate(trajs):
+            if before[i].active:
+                traj.actions.append(actions[i])
+                traj.events.append(events[i])
+                traj.cells.append(after[i].cell)
+    for traj in trajs:
+        # Recording stops on a goal, so an agent ends on one only by reaching it.
+        traj.reached = traj.cells[-1] in env.grid.goals
+    return EpisodeRollout(trajectories=trajs, steps=steps)
+
+
 def run_episode(
     env: GridEnv,
     policy,
@@ -401,38 +446,7 @@ def run_episode(
     policy is anything with a `sample_action(cell, rng) -> Action` method.
     """
     state = env.reset(rng) if initial_state is None else initial_state
-    trajs = [AgentTrajectory(cells=[st.cell]) for st in state]
-
-    # Agents placed on a goal are done at t = 0 without taking a step.
-    settled = []
-    for i, st in enumerate(state):
-        if st.active and st.cell in env.grid.goals:
-            trajs[i].reached = True
-            settled.append(AgentStatus(st.cell, reached=True, active=False))
-        else:
-            settled.append(st)
-    state = tuple(settled)
-
-    steps = 0
-    for _ in range(env.config.horizon):
-        if not any(st.active for st in state):
-            break
-        actions = [
-            policy.sample_action(st.cell, rng) if st.active else Action.STAY
-            for st in state
-        ]
-        was_active = [st.active for st in state]
-        state, events = env.step(state, actions, rng)
-        steps += 1
-        for i, traj in enumerate(trajs):
-            if not was_active[i]:
-                continue
-            traj.actions.append(actions[i])
-            traj.events.append(events[i])
-            traj.cells.append(state[i].cell)
-            if state[i].reached:
-                traj.reached = True
-    return EpisodeRollout(trajectories=trajs, steps=steps)
+    return roll_episode(env, state, lambda i, cell: policy.sample_action(cell, rng), rng)
 
 
 @dataclass

@@ -2,14 +2,16 @@
 
 Everything here is written from scratch against the plain definitions
 (breadth-first search, brute-force joint-move resolution, a direct scan
-for reach-avoid scoring, per-trajectory set loops for fitness, a row-by-row
-replicator step) so that tests never check the library against itself.
+and a guard-based automaton for reach-avoid scoring, per-trajectory set
+loops for fitness, a row-by-row replicator step) so that tests never
+check the library against itself.
 Keep this module free of evomapf imports.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +106,47 @@ def reach_avoid_weights(observations, a, b, c):
         else:
             weights.append(-a - (c if collided else 0.0))
     return weights
+
+
+class Run(NamedTuple):
+    weights: tuple
+    accepting: bool
+
+
+def reach_avoid_automaton(params):
+    """The reach-avoid reward as a guard-based weighted automaton.
+
+    params is any object with step_penalty, goal_reward and
+    collision_penalty.  Returns (initial, final, transitions), each
+    transition a (source, guard, target, weight) tuple whose guard and
+    weight are functions of the (in_goal, collided) symbol.
+    """
+    a, b, c = params.step_penalty, params.goal_reward, params.collision_penalty
+    transitions = [
+        ("seeking", lambda s: not s[0], "seeking", lambda s: -a - (c if s[1] else 0.0)),
+        ("seeking", lambda s: s[0], "done", lambda s: b - (c if s[1] else 0.0)),
+        ("done", lambda s: True, "done", lambda s: -c if s[1] else 0.0),
+    ]
+    return "seeking", {"done"}, transitions
+
+
+def runs(automaton, symbols):
+    """Every run of the automaton on the symbols, as Run(weights, accepting).
+
+    Follows each transition whose guard accepts the symbol, so a
+    nondeterministic automaton yields one run per branch; a run with no
+    successor is dropped.
+    """
+    initial, final, transitions = automaton
+    partial = [(initial, ())]
+    for symbol in symbols:
+        partial = [
+            (target, weights + (weight(symbol),))
+            for location, weights in partial
+            for source, guard, target, weight in transitions
+            if source == location and guard(symbol)
+        ]
+    return [Run(weights, location in final) for location, weights in partial]
 
 
 def fitness_sums(width, height, batch, num_actions=5):

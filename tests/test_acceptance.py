@@ -19,9 +19,7 @@ from evomapf.automaton import (
     SUM,
     RewardParams,
     discounted_sum,
-    reach_avoid_automaton,
     reach_avoid_machine,
-    runs,
     valuate,
 )
 from evomapf.baselines import LearnerParams, astar, monte_carlo_train, qlearning_train
@@ -49,7 +47,7 @@ from evomapf.gridworld import (
     run_episode,
 )
 
-from oracles import bfs_path_length
+from oracles import bfs_path_length, reach_avoid_automaton, runs
 
 
 def report_line(number: int, label: str, ok: bool) -> None:

@@ -1,6 +1,8 @@
-"""Weighted automata, valuations, and the reach-avoid reward machine."""
+"""Valuations and the reach-avoid reward table."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,24 +14,15 @@ from evomapf.automaton import (
     OBSERVATION_ALPHABET,
     SEEKING,
     SUM,
-    IncompleteAutomatonError,
-    RewardMachine,
     RewardParams,
-    Transition,
     Valuation,
-    WeightedAutomaton,
     discounted_sum,
-    reach_avoid_automaton,
     reach_avoid_machine,
-    runs,
     score_observations,
-    toa,
-    trajectory_weight,
     valuate,
 )
-from evomapf.gridworld import Cell
 
-from oracles import reach_avoid_weights
+from oracles import reach_avoid_automaton, reach_avoid_weights, runs
 
 
 def goal_run(k: int) -> list[tuple[bool, bool]]:
@@ -65,57 +58,6 @@ def test_valuation_validates_its_fields():
 
 
 # ---------------------------------------------------------------------------
-# automaton runs
-
-
-def _nondeterministic_automaton() -> WeightedAutomaton:
-    return WeightedAutomaton(
-        locations=["q0", "hi", "lo"],
-        initial=["q0"],
-        final=["hi"],
-        transitions=[
-            Transition("q0", lambda s: True, "hi", 5.0),
-            Transition("q0", lambda s: True, "lo", 2.0),
-        ],
-    )
-
-
-def test_runs_enumerates_nondeterministic_branches():
-    got = runs(_nondeterministic_automaton(), ["x"])
-    assert len(got) == 2
-    assert {r.weights for r in got} == {(5.0,), (2.0,)}
-    assert {r.accepting for r in got} == {True, False}
-
-
-def test_trajectory_weight_takes_the_best_run():
-    assert trajectory_weight(_nondeterministic_automaton(), ["x"], SUM) == 5.0
-
-
-def test_runs_on_the_empty_word():
-    auto = _nondeterministic_automaton()
-    (only,) = runs(auto, [])
-    assert only.locations == ("q0",)
-    assert only.weights == ()
-    assert not only.accepting
-
-
-def test_runs_raises_when_stuck():
-    auto = WeightedAutomaton(
-        locations=["q0"],
-        initial=["q0"],
-        final=[],
-        transitions=[Transition("q0", lambda s: s == "a", "q0", 1.0)],
-    )
-    with pytest.raises(IncompleteAutomatonError, match="no transition from location 'q0'"):
-        runs(auto, ["a", "b"])
-
-
-def test_automaton_rejects_unknown_locations():
-    with pytest.raises(ValueError, match="unknown locations"):
-        WeightedAutomaton(["q0"], ["q0"], [], [Transition("q0", lambda s: True, "q1", 0.0)])
-
-
-# ---------------------------------------------------------------------------
 # reward parameters
 
 
@@ -144,10 +86,21 @@ def test_reward_params_enforce_the_shape_constraint():
 PARAMS = RewardParams(step_penalty=1.0, goal_reward=50.0, collision_penalty=50.0, horizon=12)
 
 
+def test_runs_on_the_empty_word():
+    machine = reach_avoid_machine(PARAMS)
+    assert machine.weights([]) == []
+    (only,) = runs(reach_avoid_automaton(PARAMS), [])
+    assert only.weights == ()
+    assert not only.accepting
+
+
 def test_reach_avoid_automaton_is_deterministic_and_complete():
-    auto = reach_avoid_automaton(PARAMS)
-    assert auto.is_complete(OBSERVATION_ALPHABET)
-    assert auto.is_deterministic(OBSERVATION_ALPHABET)
+    # The offline reference has exactly one run on every word, so it can
+    # stand for the table on each observation sequence.
+    automaton = reach_avoid_automaton(PARAMS)
+    for length in range(4):
+        for word in itertools.product(OBSERVATION_ALPHABET, repeat=length):
+            assert len(runs(automaton, word)) == 1
 
 
 def test_clean_arrival_scores_goal_reward_minus_steps():
@@ -174,43 +127,17 @@ def test_collision_then_arrival_combines_both_penalties():
     assert valuate(machine.weights(obs), SUM) == 50.0 - 50.0 - 3.0
 
 
-def test_step_reward_transition_table():
+def test_reward_table_pins_next_location_and_weight():
     machine = reach_avoid_machine(PARAMS)
-    assert machine.step_reward(SEEKING, (False, False)) == (SEEKING, -1.0)
-    assert machine.step_reward(SEEKING, (False, True)) == (SEEKING, -51.0)
-    assert machine.step_reward(SEEKING, (True, False)) == (DONE, 50.0)
-    assert machine.step_reward(DONE, (False, False)) == (DONE, 0.0)
-    assert machine.step_reward(DONE, (False, True)) == (DONE, -50.0)
+    assert [2 * g + c for g, c in OBSERVATION_ALPHABET] == [0, 1, 2, 3]
+    assert machine.next_location.tolist() == [[SEEKING, SEEKING, DONE, DONE], [DONE] * 4]
+    assert machine.weight.tolist() == [[-1.0, -51.0, 50.0, 0.0], [0.0, -50.0, 0.0, -50.0]]
 
 
 def test_accepting_iff_the_goal_was_visited():
     auto = reach_avoid_automaton(PARAMS)
     assert runs(auto, goal_run(2))[0].accepting
     assert not runs(auto, [(False, False)] * 3)[0].accepting
-
-
-def test_reward_machine_rejects_nondeterminism():
-    auto = WeightedAutomaton(
-        locations=["q0", "hi", "lo"],
-        initial=["q0"],
-        final=["hi"],
-        transitions=[
-            Transition("q0", lambda s: True, "hi", 5.0),
-            Transition("q0", lambda s: True, "lo", 2.0),
-            Transition("hi", lambda s: True, "hi", 0.0),
-            Transition("lo", lambda s: True, "lo", 0.0),
-        ],
-    )
-    with pytest.raises(ValueError, match="deterministic"):
-        RewardMachine(auto, ["x"])
-
-
-def test_reward_machine_rejects_incompleteness():
-    auto = WeightedAutomaton(
-        locations=["q0"], initial=["q0"], final=[], transitions=[]
-    )
-    with pytest.raises(ValueError, match="complete"):
-        RewardMachine(auto, ["x"])
 
 
 observation_lists = st.lists(
@@ -231,19 +158,8 @@ def test_machine_weights_match_the_direct_scan(obs):
 @settings(max_examples=100)
 def test_online_stepping_equals_the_offline_run(obs):
     machine = reach_avoid_machine(PARAMS)
-    (run,) = runs(machine.automaton, obs)
+    (run,) = runs(reach_avoid_automaton(PARAMS), obs)
     assert machine.weights(obs) == list(run.weights)
-
-
-def test_dense_tables_match_step_reward():
-    machine = reach_avoid_machine(PARAMS)
-    assert machine.locations[machine.initial_index] == machine.initial
-    for q in machine.locations:
-        for symbol in machine.alphabet:
-            target, weight = machine.step_reward(q, symbol)
-            entry = machine.locations.index(q), machine.symbol_index[symbol]
-            assert machine.locations[machine.next_location[entry]] == target
-            assert machine.weight[entry] == weight
 
 
 # Inexact constants, so that the order of floating-point operations shows.
@@ -303,20 +219,3 @@ def test_one_step_delay_costs_a_plus_discount_adjusted_goal():
         later = valuate(machine.weights(goal_run(k + 1)), discounted_sum(gamma))
         assert later - now == pytest.approx(-(gamma**k) * (a + (1 - gamma) * b))
 
-
-# ---------------------------------------------------------------------------
-# time of arrival
-
-
-def test_toa_is_the_first_goal_visit():
-    goals = {Cell(3, 0)}
-    cells = [Cell(0, 0), Cell(1, 0), Cell(2, 0), Cell(3, 0)]
-    assert toa(cells, goals) == 3
-    assert toa([Cell(0, 0), Cell(1, 0)], goals) is None
-    assert toa([Cell(3, 0)], goals) == 0
-
-
-def test_toa_counts_the_first_visit_even_after_leaving():
-    goals = {Cell(2, 0)}
-    cells = [Cell(0, 0), Cell(1, 0), Cell(1, 1), Cell(2, 0), Cell(1, 0), Cell(2, 0)]
-    assert toa(cells, goals) == 3

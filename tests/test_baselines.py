@@ -21,6 +21,7 @@ from evomapf.gridworld import (
     Action,
     AgentStatus,
     Cell,
+    ConfigError,
     EnvConfig,
     GridEnv,
     GridMap,
@@ -187,6 +188,32 @@ def test_monte_carlo_is_seed_deterministic():
     a = monte_carlo_table(*args, np.random.default_rng(3))
     b = monte_carlo_table(*args, np.random.default_rng(3))
     assert np.array_equal(a, b)
+
+
+def test_learners_leave_the_table_at_zero_when_every_agent_starts_on_a_goal():
+    env_config = EnvConfig(grid=parse_map("GG\n"), num_agents=2)
+    rewards = RewardParams.default_for(env_config.horizon)
+    for learner in (qlearning_table, monte_carlo_table):
+        q = learner(env_config, rewards, LearnerParams(episodes=20, mc_batch=3), np.random.default_rng(0))
+        assert q.shape == (1, 2, 5)
+        assert np.all(q == 0.0), learner.__name__
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("episodes", 0),
+        ("mc_batch", 0),
+        ("learning_rate", 1.5),
+        ("gamma", float("nan")),
+        ("epsilon", -0.1),
+        ("epsilon_decay", float("inf")),
+        ("epsilon_min", float("nan")),
+    ],
+)
+def test_learner_params_reject_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        LearnerParams(**{field: value})
 
 
 # ---------------------------------------------------------------------------

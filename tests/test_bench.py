@@ -17,6 +17,7 @@ from evomapf.bench import (
     metrics_row,
     obstacle_distance,
     obstacle_distance_field,
+    plan_rollout,
     run_suite,
     train_subject,
     write_csv,
@@ -133,6 +134,16 @@ def test_plan_execution_takes_exactly_the_plan_length():
     metrics = evaluate(AStarPlanner(), EnvConfig(grid=grid), 1, np.random.default_rng(0))
     assert metrics.success_rate == 1.0
     assert metrics.mean_timesteps == want
+
+
+def test_plan_rollout_settles_agents_that_start_on_a_goal():
+    env = GridEnv(EnvConfig(grid=parse_map("GG\n"), num_agents=2))
+    rollout = plan_rollout(env, np.random.default_rng(0))
+    assert rollout.steps == 0
+    assert {traj.cells[0] for traj in rollout.trajectories} == {Cell(0, 0), Cell(1, 0)}
+    for traj in rollout.trajectories:
+        assert traj.reached and traj.arrival_time == 0
+        assert traj.actions == [] and traj.events == []
 
 
 def test_two_plans_into_one_corridor_livelock():

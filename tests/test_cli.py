@@ -119,6 +119,19 @@ def test_eval_rejects_a_policy_from_another_grid(strip_config, tmp_path, capsys)
     assert "4x2" in err
 
 
+def test_eval_rejects_a_policy_from_another_map_of_the_same_size(strip_config, tmp_path, capsys):
+    policy = str(tmp_path / "policy.txt")
+    # Same 5x1 size as the strip; (1,0) is free there but an obstacle, with no row, here.
+    (tmp_path / "walled.map").write_text(".#..G\n")
+    walled = tmp_path / "walled.ini"
+    walled.write_text("[env]\nmap = walled.map\n")
+    assert main(["train", "--config", str(walled), "--seed", "0", "--out", policy]) == 0
+    capsys.readouterr()
+    assert main(["eval", policy, "--config", strip_config]) == 2
+    err = capsys.readouterr().err
+    assert "no row for free cell (1,0)" in err
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 
@@ -138,6 +151,21 @@ def test_unknown_key_and_section_are_rejected(tmp_path, capsys):
     config.write_text("[environment]\nmap = x.map\n")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "p")]) == 2
     assert "unknown section [environment]" in capsys.readouterr().err
+
+
+def test_montecarlo_with_an_empty_batch_exits_2(strip_config, tmp_path, capsys):
+    config = tmp_path / "mc.ini"
+    config.write_text(FAST_TRAIN + "mc_batch = 0\n")
+    out = str(tmp_path / "p")
+    assert main(["train", "--config", str(config), "--algorithm", "montecarlo", "--out", out]) == 2
+    assert "mc_batch must be at least 1" in capsys.readouterr().err
+
+
+def test_malformed_delta_names_the_key(strip_config, tmp_path, capsys):
+    config = tmp_path / "delta.ini"
+    config.write_text(FAST_TRAIN + "delta = tiny\n")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "p")]) == 2
+    assert "[train] delta: expected a float, got 'tiny'" in capsys.readouterr().err
 
 
 def test_malformed_ini_exits_2(tmp_path, capsys):

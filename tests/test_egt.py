@@ -530,6 +530,13 @@ def test_train_config_validation():
         TrainConfig(env=env, delta=-1.0)
 
 
+def test_train_config_rejects_a_non_finite_delta():
+    env = EnvConfig(grid=STRIP, horizon=6)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="delta must be positive and finite"):
+            TrainConfig(env=env, delta=delta)
+
+
 def test_train_config_defaults_resolve_from_the_environment():
     config = TrainConfig(env=EnvConfig(grid=STRIP, horizon=6))
     rewards = config.resolved_rewards()
