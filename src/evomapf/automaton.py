@@ -10,6 +10,7 @@ folds the weight sequence of a trajectory into a single number.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,6 +81,9 @@ class RewardParams:
     gamma: float = 0.99
 
     def __post_init__(self) -> None:
+        for name in ("step_penalty", "goal_reward", "collision_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.step_penalty < 0:
             raise ValueError("step_penalty must be non-negative")
         if self.horizon < 1:
@@ -145,29 +149,26 @@ def score_observations(
     collided: np.ndarray,
     count: np.ndarray,
     valuation: Valuation,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and values of many (in_goal, collided) observation sequences at once.
+) -> np.ndarray:
+    """Values of many (in_goal, collided) observation sequences at once.
 
     in_goal and collided have shape (..., L); sequence k is the first
-    count[k] entries along the last axis.  Returns the weight array (the
-    machine's run over every entry, padding included) and the value of
-    each sequence, equal to valuate(machine.weights(obs), valuation):
-    the values are folded step by step in valuate's order of operations.
+    count[k] entries along the last axis.  Returns the value of each
+    sequence, equal to valuate(machine.weights(obs), valuation): the
+    values are folded step by step in valuate's order of operations.
     """
     if valuation.kind == "avg" and (count == 0).any():
         raise ValueError("average of an empty weight sequence is undefined")
     symbols = 2 * in_goal.astype(np.intp) + collided
     gamma = valuation.gamma if valuation.kind == "discounted_sum" else 1.0
     location = np.full(count.shape, SEEKING)
-    weights = np.empty(in_goal.shape)
     total = np.zeros(count.shape)
     g = 1.0
     for t in range(in_goal.shape[-1]):
         symbol = symbols[..., t]
-        w = weights[..., t] = machine.weight[location, symbol]
-        total = np.where(t < count, total + g * w, total)
+        total = np.where(t < count, total + g * machine.weight[location, symbol], total)
         location = machine.next_location[location, symbol]
         g *= gamma
     if valuation.kind == "avg":
         total = total / count
-    return weights, total
+    return total

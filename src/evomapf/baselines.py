@@ -98,14 +98,6 @@ class LearnerParams:
                 raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
 
 
-def _greedy_policy_from_q(q: np.ndarray, grid: GridMap) -> TabularPolicy:
-    probs = np.zeros_like(q)
-    best = np.argmax(q, axis=2)
-    h, w = q.shape[:2]
-    probs[np.arange(h)[:, None], np.arange(w)[None, :], best] = 1.0
-    return TabularPolicy(grid.width, grid.height, probs, grid.free_cells())
-
-
 def _pick_epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) -> Action:
     if rng.random() < epsilon:
         return Action(int(rng.integers(NUM_ACTIONS)))
@@ -162,7 +154,9 @@ def qlearning_train(
     rng: np.random.Generator,
 ) -> TabularPolicy:
     """Greedy policy over the learned Q-table."""
-    return _greedy_policy_from_q(qlearning_table(env_config, rewards, params, rng), env_config.grid)
+    grid = env_config.grid
+    q = qlearning_table(env_config, rewards, params, rng)
+    return TabularPolicy(grid.width, grid.height, q, grid.free_cells()).greedy()
 
 
 def monte_carlo_table(
@@ -230,4 +224,6 @@ def monte_carlo_train(
     rng: np.random.Generator,
 ) -> TabularPolicy:
     """Greedy policy over the Monte-Carlo value estimates."""
-    return _greedy_policy_from_q(monte_carlo_table(env_config, rewards, params, rng), env_config.grid)
+    grid = env_config.grid
+    q = monte_carlo_table(env_config, rewards, params, rng)
+    return TabularPolicy(grid.width, grid.height, q, grid.free_cells()).greedy()

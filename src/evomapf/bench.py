@@ -169,7 +169,7 @@ def evaluate(
                 successes += 1
                 arrivals.append(traj.arrival_time)
             if field is not None:
-                clearances.append(min(field[c.y, c.x] for c in traj.cells))
+                clearances.append(obstacle_distance(traj.cells, env_config.grid, field))
             conflicts += sum(1 for ev in traj.events if ev in CONFLICT_EVENTS)
     eval_seconds = time.perf_counter() - started
     return Metrics(

@@ -195,14 +195,6 @@ class RunConfig:
             seed=self.seed(),
         )
 
-    def flattened(self) -> dict[str, str]:
-        """All stored values as `section.key` entries, for output headers."""
-        return {
-            f"{section}.{key}": value
-            for section in sorted(self.values)
-            for key, value in sorted(self.values[section].items())
-        }
-
 
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Read an INI-style config file and apply `section.key` overrides.

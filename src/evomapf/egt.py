@@ -14,7 +14,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .automaton import (
 from .gridworld import (
     ACTIONS,
     Action,
+    BatchRollout,
     Cell,
     ConfigError,
     EnvConfig,
@@ -93,22 +94,15 @@ class TabularPolicy:
 
 @dataclass
 class FitnessTable:
-    """Batch fitness aggregates: mean trajectory return per visited cell and pair."""
+    """Batch fitness aggregates: mean trajectory return per visited (cell, action) pair."""
 
     action_sums: np.ndarray  # (H, W, A)
     action_counts: np.ndarray  # (H, W, A) ints
-    state_sums: np.ndarray  # (H, W)
-    state_counts: np.ndarray  # (H, W) ints
 
     @classmethod
     def zeros(cls, grid: GridMap) -> "FitnessTable":
-        shape = (grid.height, grid.width)
-        return cls(
-            action_sums=np.zeros(shape + (NUM_ACTIONS,)),
-            action_counts=np.zeros(shape + (NUM_ACTIONS,), dtype=np.int64),
-            state_sums=np.zeros(shape),
-            state_counts=np.zeros(shape, dtype=np.int64),
-        )
+        shape = (grid.height, grid.width, NUM_ACTIONS)
+        return cls(action_sums=np.zeros(shape), action_counts=np.zeros(shape, dtype=np.int64))
 
     def action_fitness(self, cell: Cell, action: Action) -> float:
         count = self.action_counts[cell.y, cell.x, action]
@@ -116,25 +110,23 @@ class FitnessTable:
             raise ValueError(f"no observation of action {action.name} at {cell}")
         return float(self.action_sums[cell.y, cell.x, action] / count)
 
-    def state_fitness(self, cell: Cell) -> float:
-        count = self.state_counts[cell.y, cell.x]
-        if count == 0:
-            raise ValueError(f"no observation of state {cell}")
-        return float(self.state_sums[cell.y, cell.x] / count)
-
 
 @dataclass
 class EpisodeBatch:
-    """A batch of rollouts plus per-agent weight sequences and returns."""
+    """A rolled batch and each agent's return; rollout objects are built on first read."""
 
-    rollouts: list[EpisodeRollout]
-    weight_sequences: list[list[list[float]]]  # [episode][agent][t]
-    returns: list[list[float]]  # [episode][agent]
+    rolled: BatchRollout
+    returns: np.ndarray  # (episodes, agents)
+    env: GridEnv
+
+    @cached_property
+    def rollouts(self) -> list[EpisodeRollout]:
+        return self.rolled.rollouts(self.env)
 
     @property
     def expected_return(self) -> float:
-        """Mean over episodes of the summed agent returns."""
-        return float(np.mean([sum(r) for r in self.returns]))
+        """Mean over episodes of the summed agent returns, each sum taken left to right."""
+        return float(np.mean(_row_sum(self.returns)))
 
 
 def sample_batch(
@@ -155,56 +147,31 @@ def sample_batch(
         raise ConfigError("batch_size must be at least 1")
     seeds = rng.integers(0, 2**63 - 1, size=batch_size)
     rolled = roll_batch(env, policy.cumulative().reshape(-1, NUM_ACTIONS), seeds)
-    in_goal, collided, count = rolled.observations()
-    weights, returns = score_observations(machine, in_goal, collided, count, valuation)
-    weight_sequences = [
-        [w[:k].tolist() for w, k in zip(episode, counts)]
-        for episode, counts in zip(weights, count.tolist())
-    ]
-    return EpisodeBatch(rolled.rollouts(env), weight_sequences, returns.tolist())
+    return EpisodeBatch(rolled, score_observations(machine, *rolled.observations(), valuation), env)
 
 
 def estimate_fitness(batch: EpisodeBatch, grid: GridMap) -> FitnessTable:
-    """Score each visited cell and (cell, action) pair by mean trajectory return.
+    """Score each visited (cell, action) pair by mean trajectory return.
 
     A trajectory contributes its whole return once to every distinct pair
     it contains, regardless of how often the pair repeats within it.
-    Distinct (trajectory, cell[, action]) keys sort by trajectory, so each
+    Distinct (trajectory, cell, action) keys sort by trajectory, so each
     sum accumulates its returns in trajectory order.
     """
-    scored = [
-        (traj, ret)
-        for rollout, agent_returns in zip(batch.rollouts, batch.returns)
-        for traj, ret in zip(rollout.trajectories, agent_returns)
-    ]
-    owner = np.arange(len(scored))
-    returns = np.array([ret for _, ret in scored], dtype=float)
-    steps = np.array([len(traj.actions) for traj, _ in scored], dtype=np.intp)
-    xy = np.fromiter(
-        chain.from_iterable(chain.from_iterable(traj.cells for traj, _ in scored)), dtype=np.intp
-    ).reshape(-1, 2)
-    cells = xy[:, 1] * grid.width + xy[:, 0]
-    actions = np.fromiter(chain.from_iterable(traj.actions for traj, _ in scored), dtype=np.intp)
-    # A trajectory holds one cell more than actions; action t was taken in cell t.
-    acted = np.delete(cells, np.cumsum(steps + 1) - 1)
-    n_grid = grid.width * grid.height
-    state_keys = _distinct(np.repeat(owner, steps + 1) * n_grid + cells)
-    pair_keys = _distinct((np.repeat(owner, steps) * n_grid + acted) * NUM_ACTIONS + actions)
-
-    def accumulate(keys: np.ndarray, bins: int) -> tuple[np.ndarray, np.ndarray]:
-        slot = keys % bins
-        # astype: bincount of no keys comes back integer even with weights.
-        sums = np.bincount(slot, weights=returns[keys // bins], minlength=bins)
-        return sums.astype(float, copy=False), np.bincount(slot, minlength=bins)
-
-    shape = (grid.height, grid.width)
-    action_sums, action_counts = accumulate(pair_keys, n_grid * NUM_ACTIONS)
-    state_sums, state_counts = accumulate(state_keys, n_grid)
+    rolled = batch.rolled
+    episodes, agents, span = rolled.actions.shape
+    # Agent i of episode b is trajectory b * agents + i; action t was taken in cell t.
+    owner = np.arange(episodes * agents).reshape(episodes, agents, 1)
+    taken = np.arange(span) < rolled.lengths[:, :, None]
+    bins = grid.width * grid.height * NUM_ACTIONS
+    keys = _distinct((owner * bins + rolled.cells[:, :, :-1] * NUM_ACTIONS + rolled.actions)[taken])
+    slot = keys % bins
+    # astype: bincount of no keys comes back integer even with weights.
+    sums = np.bincount(slot, weights=batch.returns.reshape(-1)[keys // bins], minlength=bins)
+    shape = (grid.height, grid.width, NUM_ACTIONS)
     return FitnessTable(
-        action_sums=action_sums.reshape(shape + (NUM_ACTIONS,)),
-        action_counts=action_counts.reshape(shape + (NUM_ACTIONS,)),
-        state_sums=state_sums.reshape(shape),
-        state_counts=state_counts.reshape(shape),
+        action_sums=sums.astype(float, copy=False).reshape(shape),
+        action_counts=np.bincount(slot, minlength=bins).reshape(shape),
     )
 
 
@@ -408,7 +375,7 @@ def load_policy(path: str) -> tuple[TabularPolicy, dict[str, str]]:
     if not lines or lines[0] != POLICY_MAGIC:
         raise ConfigError(f"{path}: not a policy file (missing {POLICY_MAGIC!r} header)")
     meta: dict[str, str] = {}
-    rows: list[tuple[Cell, list[float]]] = []
+    rows: dict[Cell, list[float]] = {}
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -419,8 +386,14 @@ def load_policy(path: str) -> tuple[TabularPolicy, dict[str, str]]:
                 meta[key.strip()] = value.strip()
             continue
         coords, _, rest = line.partition(" ")
-        x_text, _, y_text = coords.partition(",")
-        values = [float(v) for v in rest.split()]
+        try:
+            x_text, y_text = coords.split(",")
+            cell = Cell(int(x_text), int(y_text))
+            values = [float(v) for v in rest.split()]
+        except ValueError:
+            raise ConfigError(f"{path}: row {coords!r} is not `x,y` followed by numbers") from None
+        if cell in rows:
+            raise ConfigError(f"{path}: row {coords!r} repeats cell {cell}")
         if len(values) != NUM_ACTIONS:
             raise ConfigError(f"{path}: row {coords!r} has {len(values)} probabilities, expected {NUM_ACTIONS}")
         if not all(math.isfinite(v) for v in values):
@@ -429,15 +402,21 @@ def load_policy(path: str) -> tuple[TabularPolicy, dict[str, str]]:
             raise ConfigError(f"{path}: row {coords!r} has a negative probability")
         if abs(sum(values) - 1.0) > ROW_SUM_TOLERANCE:
             raise ConfigError(f"{path}: row {coords!r} sums to {sum(values)!r}, not 1")
-        rows.append((Cell(int(x_text), int(y_text)), values))
-    try:
-        width = int(meta["width"])
-        height = int(meta["height"])
-    except KeyError as missing:
-        raise ConfigError(f"{path}: policy header lacks {missing} entry") from None
+        rows[cell] = values
+    width, height = (_header_size(path, meta, key) for key in ("width", "height"))
     probs = np.full((height, width, NUM_ACTIONS), 1.0 / NUM_ACTIONS)
-    for cell, values in rows:
+    for cell, values in rows.items():
         if not (0 <= cell.x < width and 0 <= cell.y < height):
             raise ConfigError(f"{path}: cell {cell} lies outside the declared {width}x{height} grid")
         probs[cell.y, cell.x] = values
-    return TabularPolicy(width, height, probs, [cell for cell, _ in rows]), meta
+    return TabularPolicy(width, height, probs, list(rows)), meta
+
+
+def _header_size(path: str, meta: dict[str, str], key: str) -> int:
+    """The positive integer header entry key of a policy file."""
+    if key not in meta:
+        raise ConfigError(f"{path}: policy header lacks {key!r} entry")
+    text = meta[key]
+    if not (text.isdecimal() and int(text) > 0):
+        raise ConfigError(f"{path}: policy header entry {key} = {text!r} is not a positive integer")
+    return int(text)

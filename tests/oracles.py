@@ -150,26 +150,20 @@ def runs(automaton, symbols):
 
 
 def fitness_sums(width, height, batch, num_actions=5):
-    """Per-cell and per-(cell, action) return sums and counts, by set loops.
+    """Per-(cell, action) return sums and counts, by set loops.
 
-    Each trajectory adds its return once to every distinct cell it visits
-    and every distinct (cell, action) pair it takes, in trajectory order.
-    Returns (action_sums, action_counts, state_sums, state_counts) with
-    shapes (height, width, num_actions) and (height, width).
+    Each trajectory adds its return once to every distinct (cell, action)
+    pair it takes, in trajectory order.  Returns (action_sums,
+    action_counts), both of shape (height, width, num_actions).
     """
     action_sums = np.zeros((height, width, num_actions))
     action_counts = np.zeros((height, width, num_actions), dtype=np.int64)
-    state_sums = np.zeros((height, width))
-    state_counts = np.zeros((height, width), dtype=np.int64)
     for rollout, agent_returns in zip(batch.rollouts, batch.returns):
         for traj, ret in zip(rollout.trajectories, agent_returns):
             for cell, action in {(c, a) for c, a in zip(traj.cells, traj.actions)}:
                 action_sums[cell.y, cell.x, action] += ret
                 action_counts[cell.y, cell.x, action] += 1
-            for cell in set(traj.cells):
-                state_sums[cell.y, cell.x] += ret
-                state_counts[cell.y, cell.x] += 1
-    return action_sums, action_counts, state_sums, state_counts
+    return action_sums, action_counts
 
 
 def replicator_step(probs, action_sums, action_counts, alpha):

@@ -143,6 +143,15 @@ def test_reward_constraint_violation_exits_2(strip_config, tmp_path, capsys):
     assert "need b >= c > a*T" in capsys.readouterr().err
 
 
+def test_infinite_rewards_exit_2(strip_config, tmp_path, capsys):
+    config = tmp_path / "inf.ini"
+    config.write_text(FAST_TRAIN + "\n[reward]\ngoal_reward = inf\ncollision_penalty = inf\n")
+    out = tmp_path / "p"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert "goal_reward must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_and_section_are_rejected(tmp_path, capsys):
     config = tmp_path / "typo.ini"
     config.write_text("[env]\nmapp = x.map\n")

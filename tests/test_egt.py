@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +35,7 @@ from evomapf.egt import (
 from evomapf.gridworld import (
     Action,
     AgentTrajectory,
+    BatchRollout,
     Cell,
     ConfigError,
     EnvConfig,
@@ -61,8 +65,6 @@ def fitness_with(grid, observations) -> FitnessTable:
     for (cell, action), value in observations.items():
         table.action_sums[cell.y, cell.x, action] = value
         table.action_counts[cell.y, cell.x, action] = 1
-        table.state_sums[cell.y, cell.x] += value
-        table.state_counts[cell.y, cell.x] += 1
     return table
 
 
@@ -105,12 +107,25 @@ def test_copy_is_independent():
 
 
 def _batch_of(trajectories_and_returns) -> EpisodeBatch:
-    rollouts = []
-    returns = []
-    for traj, ret in trajectories_and_returns:
-        rollouts.append(EpisodeRollout(trajectories=[traj], steps=len(traj.actions)))
-        returns.append([ret])
-    return EpisodeBatch(rollouts=rollouts, weight_sequences=[[[]]] * len(returns), returns=returns)
+    """Single-agent episodes in roll_batch's layout, padded with (0, 0) and UP past each end."""
+    trajs = [traj for traj, _ in trajectories_and_returns]
+    span = max(len(traj.actions) for traj in trajs)
+    cells = np.zeros((len(trajs), 1, span + 1), dtype=np.intp)
+    actions = np.full((len(trajs), 1, span), Action.UP, dtype=np.intp)
+    for k, traj in enumerate(trajs):
+        cells[k, 0, : len(traj.cells)] = [c.y * STRIP.width + c.x for c in traj.cells]
+        actions[k, 0, : len(traj.actions)] = traj.actions
+    lengths = np.array([[len(traj.actions)] for traj in trajs])
+    rolled = BatchRollout(
+        cells=cells,
+        actions=actions,
+        events=np.zeros_like(actions),
+        lengths=lengths,
+        reached=np.zeros(lengths.shape, dtype=bool),
+        steps=lengths[:, 0],
+    )
+    returns = np.array([[ret] for _, ret in trajectories_and_returns])
+    return EpisodeBatch(rolled, returns, _strip_env())
 
 
 def test_estimate_fitness_scores_pairs_by_trajectory_return():
@@ -121,8 +136,6 @@ def test_estimate_fitness_scores_pairs_by_trajectory_return():
     )
     table = estimate_fitness(_batch_of([(traj, 7.0)]), STRIP)
     assert table.action_fitness(Cell(0, 0), Action.RIGHT) == 7.0
-    assert table.state_fitness(Cell(0, 0)) == 7.0
-    assert table.state_fitness(Cell(1, 0)) == 7.0
 
 
 def test_estimate_fitness_averages_across_trajectories():
@@ -142,14 +155,14 @@ def test_estimate_fitness_counts_each_pair_once_per_trajectory():
     table = estimate_fitness(_batch_of([(loop, 6.0)]), STRIP)
     assert table.action_counts[0, 0, Action.RIGHT] == 1
     assert table.action_fitness(Cell(0, 0), Action.RIGHT) == 6.0
+    # Only the two distinct pairs count; the padding past the last step does not.
+    assert table.action_counts.sum() == 2
 
 
 def test_unobserved_pairs_have_no_fitness():
     table = FitnessTable.zeros(STRIP)
     with pytest.raises(ValueError, match="no observation of action"):
         table.action_fitness(Cell(0, 0), Action.UP)
-    with pytest.raises(ValueError, match="no observation of state"):
-        table.state_fitness(Cell(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +317,7 @@ def test_sample_batch_is_seed_deterministic():
     policy = TabularPolicy.uniform(STRIP)
     a = sample_batch(policy, env, machine, SUM, 16, np.random.default_rng(3))
     b = sample_batch(policy, env, machine, SUM, 16, np.random.default_rng(3))
-    assert a.returns == b.returns
+    assert np.array_equal(a.returns, b.returns)
 
 
 def test_batch_returns_follow_the_reward_machine():
@@ -312,10 +325,10 @@ def test_batch_returns_follow_the_reward_machine():
     machine = reach_avoid_machine(STRIP_REWARDS)
     policy = TabularPolicy.uniform(STRIP)
     batch = sample_batch(policy, env, machine, SUM, 8, np.random.default_rng(1))
-    for rollout, weights, returns in zip(batch.rollouts, batch.weight_sequences, batch.returns):
-        for traj, w, r in zip(rollout.trajectories, weights, returns):
-            assert w == machine.weights(traj.observations())
-            assert r == sum(w)
+    assert batch.returns.shape == (8, 1)
+    for rollout, returns in zip(batch.rollouts, batch.returns):
+        for traj, r in zip(rollout.trajectories, returns, strict=True):
+            assert r == valuate(machine.weights(traj.observations()), SUM)
     assert batch.expected_return == pytest.approx(
         np.mean([sum(r) for r in batch.returns])
     )
@@ -332,13 +345,27 @@ def test_batch_size_must_be_positive():
 # the batched kernel against the scalar path
 
 
-def scalar_batch(policy, env, machine, valuation, batch_size, rng) -> EpisodeBatch:
+@dataclass
+class ScalarBatch:
+    """sample_batch's reference result: rollout objects and per-agent returns as lists."""
+
+    rollouts: list[EpisodeRollout]
+    returns: list[list[float]]
+
+    @property
+    def expected_return(self) -> float:
+        return float(np.mean([sum(r) for r in self.returns]))
+
+
+def scalar_batch(policy, env, machine, valuation, batch_size, rng) -> ScalarBatch:
     """sample_batch's reference: run_episode per derived seed, scored per trajectory."""
     seeds = rng.integers(0, 2**63 - 1, size=batch_size)
     rollouts = [run_episode(env, policy, np.random.default_rng(int(seed))) for seed in seeds]
-    weights = [[machine.weights(t.observations()) for t in r.trajectories] for r in rollouts]
-    returns = [[valuate(w, valuation) for w in ws] for ws in weights]
-    return EpisodeBatch(rollouts, weights, returns)
+    returns = [
+        [valuate(machine.weights(t.observations()), valuation) for t in r.trajectories]
+        for r in rollouts
+    ]
+    return ScalarBatch(rollouts, returns)
 
 
 def scalar_fitness(batch, grid) -> FitnessTable:
@@ -350,7 +377,7 @@ def scalar_replicator(policy, fitness, alpha) -> TabularPolicy:
     return TabularPolicy(policy.width, policy.height, probs, policy.cells)
 
 
-def assert_same_batch(batch: EpisodeBatch, reference: EpisodeBatch) -> None:
+def assert_same_batch(batch: EpisodeBatch, reference: ScalarBatch) -> None:
     assert len(batch.rollouts) == len(reference.rollouts)
     for got, want in zip(batch.rollouts, reference.rollouts):
         assert got.steps == want.steps
@@ -358,12 +385,12 @@ def assert_same_batch(batch: EpisodeBatch, reference: EpisodeBatch) -> None:
             assert (t.cells, t.actions, t.events, t.reached) == (u.cells, u.actions, u.events, u.reached)
             assert all(type(c) is Cell for c in t.cells)
             assert all(type(a) is Action for a in t.actions)
-    assert batch.weight_sequences == reference.weight_sequences
-    assert batch.returns == reference.returns
+    assert batch.returns.tolist() == reference.returns
+    assert batch.expected_return == reference.expected_return
 
 
 def assert_same_fitness(table: FitnessTable, reference: FitnessTable) -> None:
-    for name in ("action_sums", "action_counts", "state_sums", "state_counts"):
+    for name in ("action_sums", "action_counts"):
         got, want = getattr(table, name), getattr(reference, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -452,6 +479,28 @@ def test_training_is_bit_identical_to_the_scalar_path(monkeypatch):
     scalar = train(config, np.random.default_rng(5))
     assert batched.batch_returns == scalar.batch_returns
     assert np.array_equal(batched.policy.probs, scalar.policy.probs)
+
+
+def test_training_builds_no_rollout_objects(monkeypatch):
+    """train() runs on the batch arrays; rollout objects appear only when batch.rollouts is read."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rollout object was built")
+
+    monkeypatch.setattr(AgentTrajectory, "__init__", refuse)
+    monkeypatch.setattr(EpisodeRollout, "__init__", refuse)
+    config = TrainConfig(
+        env=EnvConfig(grid=parse_map("....#\n.#..G\n..#..\nG....\n"), num_agents=3, horizon=16),
+        batch_size=32,
+        max_iterations=5,
+        patience=6,
+    )
+    assert train(config, np.random.default_rng(5)).iterations == 5
+    machine = reach_avoid_machine(RewardParams.default_for(16))
+    batch = sample_batch(TabularPolicy.uniform(config.env.grid), GridEnv(config.env), machine, SUM, 4,
+                         np.random.default_rng(0))
+    with pytest.raises(AssertionError, match="rollout object"):
+        batch.rollouts
 
 
 def test_slipping_rollouts_match_run_episode_in_distribution():
@@ -666,4 +715,26 @@ def test_load_policy_requires_dimensions(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# evomapf policy v1\n0,0 0.2 0.2 0.2 0.2 0.2\n")
     with pytest.raises(ConfigError, match="policy header lacks"):
+        load_policy(str(path))
+
+
+@pytest.mark.parametrize(
+    "width, height, row, complaint",
+    [
+        ("2", "1", "x,0 0.2 0.2 0.2 0.2 0.2", "row 'x,0' is not `x,y` followed by numbers"),
+        ("2", "1", "1;0 0.2 0.2 0.2 0.2 0.2", "row '1;0' is not `x,y` followed by numbers"),
+        ("2", "1", "1,0,0 0.2 0.2 0.2 0.2 0.2", "row '1,0,0' is not `x,y` followed by numbers"),
+        ("2", "1", "1,0 0.2 0.2 abc 0.2 0.2", "row '1,0' is not `x,y` followed by numbers"),
+        ("two", "1", "1,0 0.2 0.2 0.2 0.2 0.2", "header entry width = 'two' is not a positive integer"),
+        ("2", "1.5", "1,0 0.2 0.2 0.2 0.2 0.2", "header entry height = '1.5' is not a positive integer"),
+        ("2", "-1", "1,0 0.2 0.2 0.2 0.2 0.2", "header entry height = '-1' is not a positive integer"),
+        ("2", "1", "0,0 0.2 0.2 0.2 0.2 0.2", "row '0,0' repeats cell"),
+    ],
+)
+def test_load_policy_rejects_malformed_rows_and_headers(tmp_path, width, height, row, complaint):
+    path = tmp_path / "bad.txt"
+    path.write_text(
+        f"# evomapf policy v1\n# width = {width}\n# height = {height}\n0,0 0.2 0.2 0.2 0.2 0.2\n{row}\n"
+    )
+    with pytest.raises(ConfigError, match=re.escape(str(path)) + ".*" + re.escape(complaint)):
         load_policy(str(path))

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import evomapf
 
-MODULES = sorted(p for p in Path(evomapf.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(evomapf.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# Where a definition in the package may be used: the sources, the tests and the benchmark.
+READERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +45,38 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(package: list[str], others: list[str]) -> list[str]:
+    """Functions, classes and methods defined in package whose name appears nowhere else.
+
+    A name counts as used when it occurs as a word in any of the texts
+    more often than it is defined in package.  Dunder methods are called
+    implicitly and are not checked.
+    """
+    defined = Counter(
+        node.name
+        for source in package
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = Counter(word for text in package + others for word in re.findall(r"\w+", text))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+def test_the_checker_finds_an_unreferenced_definition():
+    package = ["class A:\n    def m(self):\n        return helper()\n    def n(self):\n        pass\n",
+               "def helper():\n    pass\ndef lonely():\n    pass\n"]
+    assert unreferenced_definitions(package, ["A().m()"]) == ["lonely", "n"]
+
+
+def test_every_package_definition_is_used_somewhere():
+    package = {path.resolve(): path.read_text() for path in PACKAGE.glob("*.py")}
+    others = [
+        path.read_text()
+        for root in READERS
+        for path in sorted(root.rglob("*.py"))
+        if path.resolve() not in package
+    ]
+    assert unreferenced_definitions(list(package.values()), others) == []
