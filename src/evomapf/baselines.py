@@ -8,21 +8,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .automaton import RewardParams, reach_avoid_machine, SEEKING
 from .egt import NUM_ACTIONS, TabularPolicy
 from .gridworld import (
-    Action,
     Cell,
     COLLISION_EVENTS,
     ConfigError,
     EnvConfig,
     GridEnv,
     GridMap,
-    StepEvent,
+    STEP_EVENTS,
     episode_steps,
+    _INACTIVE,
+    _REACHED,
 )
 
 
@@ -98,10 +100,42 @@ class LearnerParams:
                 raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
 
 
-def _pick_epsilon_greedy(q_row: np.ndarray, epsilon: float, rng: np.random.Generator) -> Action:
-    if rng.random() < epsilon:
-        return Action(int(rng.integers(NUM_ACTIONS)))
-    return Action(int(np.argmax(q_row)))
+def _epsilon_greedy_episodes(
+    env_config: EnvConfig,
+    rewards: RewardParams,
+    params: LearnerParams,
+    q: list[list[float]],
+    rng: np.random.Generator,
+) -> Iterator[Iterator[tuple[int, int, int, float, int, bool]]]:
+    """Play params.episodes epsilon-greedy episodes over q, one row per flat cell.
+
+    Each episode is an iterator over the (agent, cell, action, reward,
+    next_cell, arrived) transitions of its active agents, in step and
+    agent order.  Actions are drawn lazily, so updates to q steer the rest
+    of the episode.  Greedy picks take a row's first maximum, and epsilon
+    decays after every episode.
+    """
+    env = GridEnv(env_config)
+    seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
+    # Reward per event code: the collision or plain step symbol, plus the goal symbol on arrival.
+    step_reward = [seeking[1] if ev in COLLISION_EVENTS else seeking[0] for ev in STEP_EVENTS]
+    step_reward[_REACHED] += seeking[2]
+    epsilon = params.epsilon
+
+    def choose(agent: int, cell: int) -> int:
+        if rng.random() < epsilon:
+            return int(rng.integers(NUM_ACTIONS))
+        row = q[cell]
+        return row.index(max(row))
+
+    for _ in range(params.episodes):
+        yield (
+            (i, c, a, step_reward[ev], f, ev == _REACHED)
+            for pre, actions, final, events in episode_steps(env, env.reset(rng), choose, rng)
+            for i, (c, a, f, ev) in enumerate(zip(pre, actions, final, events))
+            if ev != _INACTIVE
+        )
+        epsilon = max(params.epsilon_min, epsilon * params.epsilon_decay)
 
 
 def qlearning_table(
@@ -113,38 +147,18 @@ def qlearning_table(
     """Tabular Q-learning on the shared table; returns the (H, W, A) Q-values.
 
     Every agent feeds transitions into one Q-table keyed by its own cell.
-    Step rewards come from the reach-avoid machine, with the arrival
-    bonus folded into the arriving transition, which is treated as
-    terminal for bootstrapping.
+    The arriving transition is treated as terminal for bootstrapping.
     """
-    env = GridEnv(env_config)
     grid = env_config.grid
-    seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
-    penalty_plain, penalty_collision, arrival_bonus = seeking[:3]
-    q = np.zeros((grid.height, grid.width, NUM_ACTIONS))
-    epsilon = params.epsilon
+    q = [[0.0] * NUM_ACTIONS for _ in range(grid.width * grid.height)]
     lr = params.learning_rate
     gamma = params.gamma
-
-    def choose(agent: int, cell: Cell) -> Action:
-        return _pick_epsilon_greedy(q[cell.y, cell.x], epsilon, rng)
-
-    for _ in range(params.episodes):
-        for before, actions, after, events in episode_steps(env, env.reset(rng), choose, rng):
-            for i, st in enumerate(before):
-                if not st.active:
-                    continue
-                ev = events[i]
-                reward = penalty_collision if ev in COLLISION_EVENTS else penalty_plain
-                terminal = ev is StepEvent.REACHED_GOAL
-                if terminal:
-                    reward += arrival_bonus
-                nxt = after[i].cell
-                target = reward if terminal else reward + gamma * q[nxt.y, nxt.x].max()
-                sy, sx = st.cell.y, st.cell.x
-                q[sy, sx, actions[i]] += lr * (target - q[sy, sx, actions[i]])
-        epsilon = max(params.epsilon_min, epsilon * params.epsilon_decay)
-    return q
+    for episode in _epsilon_greedy_episodes(env_config, rewards, params, q, rng):
+        for _, cell, action, reward, nxt, arrived in episode:
+            target = reward if arrived else reward + gamma * max(q[nxt])
+            row = q[cell]
+            row[action] += lr * (target - row[action])
+    return np.array(q).reshape(grid.height, grid.width, NUM_ACTIONS)
 
 
 def qlearning_train(
@@ -171,50 +185,34 @@ def monte_carlo_table(
     first-visit discounted returns-to-go per (cell, action) across the
     trajectories of every agent, and acts greedily on the running means.
     """
-    env = GridEnv(env_config)
     grid = env_config.grid
-    seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
-    penalty_plain, penalty_collision, arrival_bonus = seeking[:3]
-    sums = np.zeros((grid.height, grid.width, NUM_ACTIONS))
-    counts = np.zeros((grid.height, grid.width, NUM_ACTIONS), dtype=np.int64)
-    q = np.zeros_like(sums)
-    epsilon = params.epsilon
+    cells = grid.width * grid.height
+    sums = [[0.0] * NUM_ACTIONS for _ in range(cells)]
+    counts = [[0] * NUM_ACTIONS for _ in range(cells)]
+    q = [[0.0] * NUM_ACTIONS for _ in range(cells)]
     gamma = params.gamma
-
-    def choose(agent: int, cell: Cell) -> Action:
-        return _pick_epsilon_greedy(q[cell.y, cell.x], epsilon, rng)
-
-    done = 0
-    while done < params.episodes:
-        batch = min(params.mc_batch, params.episodes - done)
-        for _ in range(batch):
-            steps: list[list[tuple[Cell, Action, float]]] = [[] for _ in range(env_config.num_agents)]
-            for before, actions, _, events in episode_steps(env, env.reset(rng), choose, rng):
-                for i, st in enumerate(before):
-                    if not st.active:
-                        continue
-                    ev = events[i]
-                    reward = penalty_collision if ev in COLLISION_EVENTS else penalty_plain
-                    if ev is StepEvent.REACHED_GOAL:
-                        reward += arrival_bonus
-                    steps[i].append((st.cell, actions[i], reward))
-            for agent_steps in steps:
-                ret = 0.0
-                returns = [0.0] * len(agent_steps)
-                for t in range(len(agent_steps) - 1, -1, -1):
-                    ret = agent_steps[t][2] + gamma * ret
-                    returns[t] = ret
-                first_visit: dict[tuple[Cell, Action], int] = {}
-                for t, (cell, action, _) in enumerate(agent_steps):
-                    first_visit.setdefault((cell, action), t)
-                for (cell, action), t in first_visit.items():
-                    sums[cell.y, cell.x, action] += returns[t]
-                    counts[cell.y, cell.x, action] += 1
-            epsilon = max(params.epsilon_min, epsilon * params.epsilon_decay)
-            done += 1
-        nonzero = counts > 0
-        q[nonzero] = sums[nonzero] / counts[nonzero]
-    return q
+    touched: set[tuple[int, int]] = set()
+    for done, episode in enumerate(_epsilon_greedy_episodes(env_config, rewards, params, q, rng), 1):
+        steps: list[list[tuple[int, int, float]]] = [[] for _ in range(env_config.num_agents)]
+        for agent, cell, action, reward, _, _ in episode:
+            steps[agent].append((cell, action, reward))
+        for agent_steps in steps:
+            # Walking back from the end, the last return written per pair is its first visit's.
+            ret = 0.0
+            first_return: dict[tuple[int, int], float] = {}
+            for cell, action, reward in reversed(agent_steps):
+                ret = reward + gamma * ret
+                first_return[cell, action] = ret
+            for (cell, action), ret in first_return.items():
+                sums[cell][action] += ret
+                counts[cell][action] += 1
+            touched.update(first_return)
+        # Q is frozen within a batch of mc_batch episodes.
+        if done % params.mc_batch == 0 or done == params.episodes:
+            for cell, action in touched:
+                q[cell][action] = sums[cell][action] / counts[cell][action]
+            touched.clear()
+    return np.array(q).reshape(grid.height, grid.width, NUM_ACTIONS)
 
 
 def monte_carlo_train(

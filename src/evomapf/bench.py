@@ -18,6 +18,7 @@ from .automaton import RewardParams, RewardMachine
 from .baselines import LearnerParams, astar, monte_carlo_train, qlearning_train
 from .egt import TabularPolicy, TrainConfig, train
 from .gridworld import (
+    ACTION_DELTAS,
     ACTION_NAMES,
     Action,
     Cell,
@@ -42,32 +43,21 @@ class AStarPlanner:
 def obstacle_distance_field(grid: GridMap) -> np.ndarray | None:
     """Manhattan distance from each cell to the nearest obstacle; None if no obstacles.
 
-    Two-pass dynamic program (forward then backward sweep), exact for the
-    taxicab metric.
+    The taxicab transform is separable: a 1-D transform along the rows,
+    then one along the columns.  Along a line, min_j d[j] + |i - j| is
+    the smaller of i plus a forward running minimum of d[j] - j and a
+    backward running minimum of d[j] + j, minus i.
     """
     if not grid.obstacles:
         return None
-    h, w = grid.height, grid.width
-    inf = w + h
-    dist = np.full((h, w), inf, dtype=np.int64)
+    dist = np.full((grid.height, grid.width), grid.width + grid.height, dtype=np.int64)
     for cell in grid.obstacles:
         dist[cell.y, cell.x] = 0
-    for y in range(h):
-        for x in range(w):
-            d = dist[y, x]
-            if y > 0 and dist[y - 1, x] + 1 < d:
-                d = dist[y - 1, x] + 1
-            if x > 0 and dist[y, x - 1] + 1 < d:
-                d = dist[y, x - 1] + 1
-            dist[y, x] = d
-    for y in range(h - 1, -1, -1):
-        for x in range(w - 1, -1, -1):
-            d = dist[y, x]
-            if y < h - 1 and dist[y + 1, x] + 1 < d:
-                d = dist[y + 1, x] + 1
-            if x < w - 1 and dist[y, x + 1] + 1 < d:
-                d = dist[y, x + 1] + 1
-            dist[y, x] = d
+    for _ in range(2):
+        i = np.arange(dist.shape[1])
+        forward = np.minimum.accumulate(dist - i, axis=1) + i
+        backward = np.minimum.accumulate((dist + i)[:, ::-1], axis=1)[:, ::-1] - i
+        dist = np.minimum(forward, backward).T
     return dist
 
 
@@ -90,16 +80,8 @@ class Metrics:
     eval_seconds: float
 
 
-def _action_toward(src: Cell, dst: Cell) -> Action:
-    if dst.x > src.x:
-        return Action.RIGHT
-    if dst.x < src.x:
-        return Action.LEFT
-    if dst.y > src.y:
-        return Action.DOWN
-    if dst.y < src.y:
-        return Action.UP
-    return Action.STAY
+# The action that moves by (dx, dy); a plan's next cell is always one such move away.
+_ACTION_BY_DELTA = {delta: action for action, delta in ACTION_DELTAS.items()}
 
 
 class _PlanFollower:
@@ -123,14 +105,15 @@ class _PlanFollower:
                 return Action.STAY
         if i + 1 >= len(self.path):
             return Action.STAY
-        return _action_toward(cell, self.path[i + 1])
+        nxt = self.path[i + 1]
+        return _ACTION_BY_DELTA[nxt.x - cell.x, nxt.y - cell.y]
 
 
 def plan_rollout(env: GridEnv, rng: np.random.Generator, initial_state: JointState | None = None) -> EpisodeRollout:
     """Plan per agent with A* at reset, then execute jointly in the environment."""
     state = env.reset(rng) if initial_state is None else initial_state
     followers = [_PlanFollower(env.grid, st.cell) for st in state]
-    return roll_episode(env, state, lambda i, cell: followers[i].next_action(cell), rng)
+    return roll_episode(env, state, lambda i, c: followers[i].next_action(env.cells[c]), rng)
 
 
 def evaluate(
@@ -143,12 +126,27 @@ def evaluate(
 
     Start placements come from a reset stream independent of the action
     stream, so two subjects evaluated with generators seeded alike see
-    the identical start draws.
+    the identical start draws.  A policy must be the map's size and have
+    a row for every free cell of it.
     """
     if episodes < 1:
         raise ConfigError("episodes must be at least 1")
+    grid = env_config.grid
+    if not isinstance(subject, AStarPlanner):
+        if (subject.width, subject.height) != (grid.width, grid.height):
+            raise ConfigError(
+                f"policy was trained on a {subject.width}x{subject.height} grid "
+                f"but the map is {grid.width}x{grid.height}"
+            )
+        known = set(subject.cells)
+        missing = [c for c in grid.free_cells() if c not in known]
+        if missing:
+            raise ConfigError(
+                f"policy has no row for free cell ({missing[0].x},{missing[0].y}) of the map "
+                f"({len(missing)} missing); it was trained on another map"
+            )
     env = GridEnv(env_config)
-    field = obstacle_distance_field(env_config.grid)
+    field = obstacle_distance_field(grid)
     seeds = rng.integers(0, 2**63 - 1, size=(episodes, 2))
     arrivals: list[int] = []
     clearances: list[float] = []
@@ -169,7 +167,7 @@ def evaluate(
                 successes += 1
                 arrivals.append(traj.arrival_time)
             if field is not None:
-                clearances.append(obstacle_distance(traj.cells, env_config.grid, field))
+                clearances.append(obstacle_distance(traj.cells, grid, field))
             conflicts += sum(1 for ev in traj.events if ev in CONFLICT_EVENTS)
     eval_seconds = time.perf_counter() - started
     return Metrics(
@@ -276,6 +274,13 @@ class SuiteConfig:
             raise ConfigError("episode counts must be positive")
         if not 0.0 <= self.density <= 0.4:
             raise ConfigError("obstacle density must lie in [0, 0.4]")
+        if min(self.sizes) < 1:
+            raise ConfigError(f"sizes must be at least 1, got {min(self.sizes)}")
+        if min(self.agent_counts) < 1:
+            raise ConfigError(f"agent_counts must be at least 1, got {min(self.agent_counts)}")
+        # Also false for NaN.
+        if not 0.0 <= self.slip_probability <= 1.0:
+            raise ConfigError(f"slip_probability must lie in [0, 1], got {self.slip_probability!r}")
 
 
 CSV_COLUMNS = (

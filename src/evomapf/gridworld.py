@@ -6,10 +6,13 @@ obstacles are blocked in place, and agents that end up sharing a cell or
 swapping cells are reverted to where they stood.  An agent that enters a
 goal cell despawns at the end of that step.
 
-`episode_steps` plays one episode through `GridEnv.step` under any action
-choice; `run_episode`, the A* replay and the tabular learners all run on
-it.  `roll_batch` rolls many episodes at once over flat cell indices with
-the same rules and random draws.
+Both steppers work on flat cell indices (y * width + x) through one
+(cells x 5) move table and emit STEP_EVENTS codes.  `GridEnv.advance`
+steps one episode's agents; `episode_steps` plays one episode on it under
+any action choice, and `run_episode`, the A* replay and the tabular
+learners all run on that.  `roll_batch` rolls many episodes at once with
+the same rules and random draws.  `GridEnv.step` is the same kernel on
+`AgentStatus`/`Cell` values.
 """
 from __future__ import annotations
 
@@ -248,14 +251,14 @@ class GridEnv:
         self.config = config
         self.grid = grid = config.grid
         self.start_cells = sorted(grid.starts)
-        # Flat-index tables for roll_batch; cell index c = y * width + x.
+        # Flat-index tables; cell index c = y * width + x.
         w, h = grid.width, grid.height
         self.cells = [Cell(c % w, c // w) for c in range(w * h)]
-        self.start_index = np.array([c.y * w + c.x for c in self.start_cells], dtype=np.intp)
+        self.start_index = np.array([self.index(c) for c in self.start_cells], dtype=np.intp)
         self.goal_mask = np.zeros(w * h, dtype=bool)
-        self.goal_mask[[c.y * w + c.x for c in grid.goals]] = True
+        self.goal_mask[[self.index(c) for c in grid.goals]] = True
         free = np.ones(w * h, dtype=bool)
-        free[[c.y * w + c.x for c in grid.obstacles]] = False
+        free[[self.index(c) for c in grid.obstacles]] = False
         x = np.arange(w * h) % w
         y = np.arange(w * h) // w
         dx = np.array([ACTION_DELTAS[a][0] for a in Action])
@@ -268,6 +271,13 @@ class GridEnv:
         # Per (cell, action): the cell the move lands on, and whether it was blocked.
         self.move_target = np.where(passable, target, np.arange(w * h)[:, None])
         self.move_blocked = ~passable & ((dx != 0) | (dy != 0))
+        # The same tables as lists, for stepping one episode at a time.
+        self._target = self.move_target.tolist()
+        self._blocked = self.move_blocked.tolist()
+        self._goal = self.goal_mask.tolist()
+
+    def index(self, cell: Cell) -> int:
+        return cell.y * self.grid.width + cell.x
 
     def reset(self, rng: np.random.Generator) -> JointState:
         """Place agents uniformly at random on distinct start cells."""
@@ -275,79 +285,65 @@ class GridEnv:
         picks = rng.choice(len(starts), size=self.config.num_agents, replace=False)
         return tuple(AgentStatus(starts[int(i)]) for i in picks)
 
-    def step(
-        self, state: JointState, actions: list[Action], rng: np.random.Generator
-    ) -> tuple[JointState, list[StepEvent]]:
-        """Advance all agents one step; returns the new state and one event per agent."""
-        n = self.config.num_agents
-        if len(state) != n or len(actions) != n:
-            raise ConfigError(f"expected {n} agents, got state={len(state)} actions={len(actions)}")
-        grid = self.grid
-        slip = self.config.slip_probability
-        pre = [st.cell for st in state]
-        final = list(pre)
-        events = [StepEvent.INACTIVE] * n
+    def advance(
+        self, pre: list[int], active: list[bool], actions: list[int], rng: np.random.Generator
+    ) -> tuple[list[int], list[int]]:
+        """Move the active agents one step from flat cells pre; returns their cells and event codes.
 
-        for i, st in enumerate(state):
-            if not st.active:
-                continue
+        Each active agent, in agent order, may slip to a uniformly random
+        move, then moves through the move table or is blocked in place.
+        Movers that share a cell or swap cells are reverted, in rounds
+        until none is left: a revert can put an agent back in another's
+        way, and each round reverts at least one mover.  An agent keeps
+        its first conflict event, and one that ends on a goal reaches it.
+        """
+        target, blocked, slip = self._target, self._blocked, self.config.slip_probability
+        final = list(pre)
+        events = [_INACTIVE] * len(pre)
+        live = [i for i, a in enumerate(active) if a]
+        for i in live:
             act = actions[i]
             if slip > 0.0 and rng.random() < slip:
                 act = MOVE_ACTIONS[int(rng.integers(4))]
-            dx, dy = ACTION_DELTAS[act]
-            target = Cell(st.cell.x + dx, st.cell.y + dy)
-            if target == st.cell:
-                events[i] = StepEvent.MOVED
-            elif grid.passable(target):
-                events[i] = StepEvent.MOVED
-                final[i] = target
-            else:
-                # Off-grid counts as an obstacle.
-                events[i] = StepEvent.BLOCKED_BY_OBSTACLE
-
-        # Conflict resolution: revert movers until no cell is shared and no
-        # pair has swapped.  Reverting can push an agent back into the path
-        # of another mover, so iterate to a fixed point; each round reverts
-        # at least one mover, so the loop is bounded by the agent count.
+            final[i] = target[pre[i]][act]
+            events[i] = _BLOCKED if blocked[pre[i]][act] else _MOVED
+        origin = {pre[i]: i for i in live}
         while True:
-            reverted: set[int] = set()
-            occupied: dict[Cell, list[int]] = {}
-            for i in range(n):
-                if state[i].active:
-                    occupied.setdefault(final[i], []).append(i)
-            for members in occupied.values():
-                if len(members) < 2:
-                    continue
-                for i in members:
-                    if events[i] not in CONFLICT_EVENTS:
-                        events[i] = StepEvent.VERTEX_CONFLICT
+            shared: dict[int, int] = {}  # live agents per cell
+            for i in live:
+                shared[final[i]] = shared.get(final[i], 0) + 1
+            reverted = []
+            for i in live:
+                vertex = shared[final[i]] > 1
+                j = origin.get(final[i])  # whoever stood where i is going
+                if vertex or (j not in (None, i) and final[j] == pre[i]):
+                    if events[i] in (_MOVED, _BLOCKED):
+                        events[i] = _VERTEX if vertex else _SWAP
                     if final[i] != pre[i]:
-                        reverted.add(i)
-            origin = {pre[i]: i for i in range(n) if state[i].active}
-            for i in range(n):
-                if not state[i].active or final[i] == pre[i]:
-                    continue
-                j = origin.get(final[i])
-                if j is not None and j != i and final[j] == pre[i] and final[j] != pre[j]:
-                    for k in (i, j):
-                        if events[k] not in CONFLICT_EVENTS:
-                            events[k] = StepEvent.SWAP_CONFLICT
-                        reverted.add(k)
+                        reverted.append(i)
             if not reverted:
                 break
             for i in reverted:
                 final[i] = pre[i]
+        for i in live:
+            if self._goal[final[i]]:
+                events[i] = _REACHED
+        return final, events
 
-        new_state = []
-        for i, st in enumerate(state):
-            if not st.active:
-                new_state.append(st)
-            elif final[i] in grid.goals and not st.reached:
-                events[i] = StepEvent.REACHED_GOAL
-                new_state.append(AgentStatus(final[i], reached=True, active=False))
-            else:
-                new_state.append(AgentStatus(final[i], st.reached, True))
-        return tuple(new_state), events
+    def step(
+        self, state: JointState, actions: list[Action], rng: np.random.Generator
+    ) -> tuple[JointState, list[StepEvent]]:
+        """One advance of a JointState: returns the new state and one StepEvent per agent."""
+        n = self.config.num_agents
+        if len(state) != n or len(actions) != n:
+            raise ConfigError(f"expected {n} agents, got state={len(state)} actions={len(actions)}")
+        pre = [self.index(st.cell) for st in state]
+        final, events = self.advance(pre, [st.active for st in state], actions, rng)
+        new_state = tuple(
+            AgentStatus(self.cells[c], st.reached or ev == _REACHED, st.active and ev != _REACHED)
+            for st, c, ev in zip(state, final, events)
+        )
+        return new_state, [STEP_EVENTS[ev] for ev in events]
 
 
 @dataclass
@@ -392,47 +388,57 @@ class EpisodeRollout:
         return all(t.reached for t in self.trajectories)
 
 
-def episode_steps(
-    env: GridEnv, state: JointState, choose: Callable[[int, Cell], Action], rng: np.random.Generator
-) -> Iterator[tuple[JointState, list[Action], JointState, list[StepEvent]]]:
-    """Play one episode from state, yielding (before, actions, after, events) per step.
-
-    Agents placed on a goal are done at t = 0 without taking a step.
-    choose(agent, cell) -> Action is called for each active agent in
-    agent order, after the previous step has been yielded.  The episode
-    ends at the horizon or once no agent is active.
-    """
-    goals = env.grid.goals
-    state = tuple(
-        AgentStatus(st.cell, reached=True, active=False) if st.active and st.cell in goals else st
-        for st in state
+def _trajectory(
+    env: GridEnv, cells: list[int], actions: list[int], events: list[int], reached: bool
+) -> AgentTrajectory:
+    """An AgentTrajectory from flat cells, action values and event codes."""
+    return AgentTrajectory(
+        cells=list(map(env.cells.__getitem__, cells)),
+        actions=list(map(ACTIONS.__getitem__, actions)),
+        events=list(map(STEP_EVENTS.__getitem__, events)),
+        reached=reached,
     )
+
+
+def episode_steps(
+    env: GridEnv, state: JointState, choose: Callable[[int, int], int], rng: np.random.Generator
+) -> Iterator[tuple[list[int], list[int], list[int], list[int]]]:
+    """Play one episode from state, yielding flat (before, actions, after, events) per step.
+
+    An agent inactive during a step has event INACTIVE and action STAY;
+    agents placed on a goal are done at t = 0.  choose(agent, cell) ->
+    action is called for each active agent in agent order, after the
+    previous step has been yielded.  The episode ends at the horizon or
+    once no agent is active.
+    """
+    goal = env._goal
+    pre = [env.index(st.cell) for st in state]
+    active = [st.active and not goal[c] for st, c in zip(state, pre)]
     for _ in range(env.config.horizon):
-        if not any(st.active for st in state):
+        if not any(active):
             return
-        actions = [choose(i, st.cell) if st.active else Action.STAY for i, st in enumerate(state)]
-        after, events = env.step(state, actions, rng)
-        yield state, actions, after, events
-        state = after
+        actions = [choose(i, c) if a else Action.STAY for i, (c, a) in enumerate(zip(pre, active))]
+        final, events = env.advance(pre, active, actions, rng)
+        yield pre, actions, final, events
+        pre = final
+        active = [a and ev != _REACHED for a, ev in zip(active, events)]
 
 
 def roll_episode(
-    env: GridEnv, state: JointState, choose: Callable[[int, Cell], Action], rng: np.random.Generator
+    env: GridEnv, state: JointState, choose: Callable[[int, int], int], rng: np.random.Generator
 ) -> EpisodeRollout:
     """Record the episode_steps of one episode as an EpisodeRollout."""
-    trajs = [AgentTrajectory(cells=[st.cell]) for st in state]
+    record = [([env.index(st.cell)], [], []) for st in state]  # cells, actions, events per agent
     steps = 0
-    for before, actions, after, events in episode_steps(env, state, choose, rng):
-        steps += 1
-        for i, traj in enumerate(trajs):
-            if before[i].active:
-                traj.actions.append(actions[i])
-                traj.events.append(events[i])
-                traj.cells.append(after[i].cell)
-    for traj in trajs:
-        # Recording stops on a goal, so an agent ends on one only by reaching it.
-        traj.reached = traj.cells[-1] in env.grid.goals
-    return EpisodeRollout(trajectories=trajs, steps=steps)
+    for steps, (_, actions, after, events) in enumerate(episode_steps(env, state, choose, rng), 1):
+        for (cells, acts, evs), action, cell, event in zip(record, actions, after, events):
+            if event != _INACTIVE:
+                cells.append(cell)
+                acts.append(action)
+                evs.append(event)
+    # Recording stops on a goal, so an agent ends on one only by reaching it.
+    trajectories = [_trajectory(env, *r, env._goal[r[0][-1]]) for r in record]
+    return EpisodeRollout(trajectories=trajectories, steps=steps)
 
 
 def run_episode(
@@ -446,7 +452,7 @@ def run_episode(
     policy is anything with a `sample_action(cell, rng) -> Action` method.
     """
     state = env.reset(rng) if initial_state is None else initial_state
-    return roll_episode(env, state, lambda i, cell: policy.sample_action(cell, rng), rng)
+    return roll_episode(env, state, lambda i, c: policy.sample_action(env.cells[c], rng), rng)
 
 
 @dataclass
@@ -489,12 +495,7 @@ class BatchRollout:
             self.lengths.tolist(), self.reached.tolist(), self.steps.tolist(),
         ):
             trajectories = [
-                AgentTrajectory(
-                    cells=list(map(env.cells.__getitem__, c[: n + 1].tolist())),
-                    actions=list(map(ACTIONS.__getitem__, a[:n].tolist())),
-                    events=list(map(STEP_EVENTS.__getitem__, e[:n].tolist())),
-                    reached=r,
-                )
+                _trajectory(env, c[: n + 1].tolist(), a[:n].tolist(), e[:n].tolist(), r)
                 for c, a, e, n, r in zip(cells, actions, events, lengths, reached)
             ]
             out.append(EpisodeRollout(trajectories=trajectories, steps=steps))

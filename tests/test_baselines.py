@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evomapf.automaton import RewardParams
+from evomapf.automaton import SEEKING, RewardParams, reach_avoid_machine
 from evomapf.baselines import (
     LearnerParams,
     astar,
@@ -18,13 +18,14 @@ from evomapf.baselines import (
 from evomapf.bench import generate_map
 from evomapf.egt import TabularPolicy
 from evomapf.gridworld import (
+    COLLISION_EVENTS,
     Action,
     AgentStatus,
     Cell,
     ConfigError,
     EnvConfig,
     GridEnv,
-    GridMap,
+    StepEvent,
     parse_map,
     run_episode,
 )
@@ -234,3 +235,99 @@ def test_learners_reach_astar_lengths_on_an_open_grid():
             optimal = len(astar(grid, start)) - 1
             took = greedy_rollout_length(policy, grid, start, horizon=16)
             assert took == optimal, (name, start)
+
+
+# ---------------------------------------------------------------------------
+# both learners against Cell-level reference loops
+
+
+def reference_steps(env, state, choose, rng):
+    """One episode through GridEnv.step: (before, actions, after, events) per step."""
+    state = tuple(
+        AgentStatus(st.cell, reached=True, active=False) if st.active and st.cell in env.grid.goals else st
+        for st in state
+    )
+    for _ in range(env.config.horizon):
+        if not any(st.active for st in state):
+            return
+        actions = [choose(st.cell) if st.active else Action.STAY for st in state]
+        after, events = env.step(state, actions, rng)
+        yield state, actions, after, events
+        state = after
+
+
+def reference_tables(env_config, rewards, params, rng):
+    """Q-learning and first-visit Monte-Carlo tables, each an epsilon-greedy loop over Cells."""
+    env = GridEnv(env_config)
+    grid = env_config.grid
+    plain, collision, bonus = reach_avoid_machine(rewards).weight[SEEKING].tolist()[:3]
+    shape = (grid.height, grid.width, 5)
+
+    def reward_of(event):
+        reward = collision if event in COLLISION_EVENTS else plain
+        return reward + bonus if event is StepEvent.REACHED_GOAL else reward
+
+    def episodes(q):
+        epsilon = params.epsilon
+
+        def choose(cell):
+            if rng.random() < epsilon:
+                return Action(int(rng.integers(5)))
+            return Action(int(np.argmax(q[cell.y, cell.x])))
+
+        for _ in range(params.episodes):
+            yield reference_steps(env, env.reset(rng), choose, rng)
+            epsilon = max(params.epsilon_min, epsilon * params.epsilon_decay)
+
+    q_learned = np.zeros(shape)
+    for episode in episodes(q_learned):
+        for before, actions, after, events in episode:
+            for i, st in enumerate(before):
+                if not st.active:
+                    continue
+                reward = reward_of(events[i])
+                nxt = after[i].cell
+                if events[i] is not StepEvent.REACHED_GOAL:
+                    reward += params.gamma * q_learned[nxt.y, nxt.x].max()
+                cell = (st.cell.y, st.cell.x, actions[i])
+                q_learned[cell] += params.learning_rate * (reward - q_learned[cell])
+
+    sums, counts, q_means = np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    for done, episode in enumerate(episodes(q_means), 1):
+        steps = [[] for _ in range(env_config.num_agents)]
+        for before, actions, _, events in episode:
+            for i, st in enumerate(before):
+                if st.active:
+                    steps[i].append(((st.cell.y, st.cell.x, actions[i]), reward_of(events[i])))
+        for agent_steps in steps:
+            returns, ret = [], 0.0
+            for _, reward in reversed(agent_steps):
+                ret = reward + params.gamma * ret
+                returns.append(ret)
+            returns.reverse()
+            first_visit = {}
+            for t, (key, _) in enumerate(agent_steps):
+                first_visit.setdefault(key, t)
+            for key, t in first_visit.items():
+                sums[key] += returns[t]
+                counts[key] += 1
+        if done % params.mc_batch == 0 or done == params.episodes:
+            seen = counts > 0
+            q_means[seen] = sums[seen] / counts[seen]
+    return q_learned, q_means
+
+
+@pytest.mark.parametrize("num_agents, slip", [(2, 0.0), (4, 0.2)])
+def test_learners_equal_the_cell_level_reference_loops(num_agents, slip):
+    grid = generate_map(8, 6, 0.15, np.random.default_rng([num_agents, 86]))
+    env_config = EnvConfig(grid=grid, num_agents=num_agents, slip_probability=slip)
+    rewards = RewardParams.default_for(env_config.horizon)
+    # 200 episodes in batches of 30: the last Monte-Carlo batch is short.
+    params = LearnerParams(episodes=200, mc_batch=30, epsilon=0.5, epsilon_decay=0.99)
+    want_q, want_mc = reference_tables(env_config, rewards, params, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    got_q = qlearning_table(env_config, rewards, params, rng)
+    got_mc = monte_carlo_table(env_config, rewards, params, rng)
+    assert np.array_equal(got_q, want_q)
+    assert np.array_equal(got_mc, want_mc)
+    assert np.any(want_q != 0.0) and np.any(want_mc != 0.0)

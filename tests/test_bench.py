@@ -23,7 +23,7 @@ from evomapf.bench import (
     write_csv,
     write_trajectory_log,
 )
-from evomapf.egt import TabularPolicy
+from evomapf.egt import TabularPolicy, load_policy, save_policy
 from evomapf.gridworld import (
     Action,
     AgentStatus,
@@ -58,12 +58,24 @@ def stay_policy(grid) -> TabularPolicy:
 # obstacle clearance
 
 
-def test_distance_field_matches_brute_force():
-    grid = generate_map(8, 8, 0.2, np.random.default_rng([4, 8]))
+@pytest.mark.parametrize(
+    "grid",
+    [
+        generate_map(8, 8, 0.2, np.random.default_rng([4, 8])),
+        generate_map(13, 5, 0.1, np.random.default_rng([1, 13])),
+        generate_map(4, 11, 0.3, np.random.default_rng([2, 4])),
+        generate_map(50, 50, 0.1, np.random.default_rng([0, 50])),
+        parse_map("#......G\n"),
+        parse_map("G\n.\n.\n#\n.\n#\n"),
+        parse_map("#G\n"),
+    ],
+    ids=["8x8", "13x5", "4x11", "50x50", "8x1", "1x6", "2x1"],
+)
+def test_distance_field_matches_brute_force(grid):
     field = obstacle_distance_field(grid)
-    assert field is not None
-    for y in range(8):
-        for x in range(8):
+    assert field is not None and field.shape == (grid.height, grid.width)
+    for y in range(grid.height):
+        for x in range(grid.width):
             want = min(manhattan(Cell(x, y), o) for o in grid.obstacles)
             assert field[y, x] == want
 
@@ -170,6 +182,22 @@ def test_evaluate_is_seed_deterministic():
     assert a.collisions_per_episode == b.collisions_per_episode
 
 
+def test_evaluate_rejects_a_policy_of_another_size():
+    grid = parse_map("..G\n...\n")
+    for other in (parse_map("...G\n....\n....\n"), parse_map("G\n")):
+        with pytest.raises(ConfigError, match="was trained on a"):
+            evaluate(TabularPolicy.uniform(other), EnvConfig(grid=grid), 1, np.random.default_rng(0))
+
+
+def test_evaluate_rejects_a_loaded_policy_from_another_map_of_the_same_size(tmp_path):
+    # (1,0) is an obstacle, with no row, where the policy was made; it is free here.
+    path = str(tmp_path / "walled.policy")
+    save_policy(TabularPolicy.uniform(parse_map(".#..G\n")), path)
+    policy, _ = load_policy(path)
+    with pytest.raises(ConfigError, match=r"no row for free cell \(1,0\)"):
+        evaluate(policy, EnvConfig(grid=parse_map("....G\n")), 1, np.random.default_rng(0))
+
+
 def test_evaluate_requires_at_least_one_episode():
     grid = parse_map("G.\n")
     with pytest.raises(ConfigError, match="episodes"):
@@ -241,6 +269,13 @@ def test_suite_config_validation():
         SuiteConfig(sizes=(5,), agent_counts=(1,), algorithms=("ppo",))
     with pytest.raises(ConfigError, match="density"):
         SuiteConfig(sizes=(5,), agent_counts=(1,), density=0.9)
+    with pytest.raises(ConfigError, match="sizes"):
+        SuiteConfig(sizes=(5, 0), agent_counts=(1,))
+    with pytest.raises(ConfigError, match="agent_counts"):
+        SuiteConfig(sizes=(5,), agent_counts=(-1,))
+    for slip in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="slip_probability"):
+            SuiteConfig(sizes=(5,), agent_counts=(1,), slip_probability=slip)
 
 
 def test_train_subject_astar_needs_no_training():

@@ -239,6 +239,26 @@ def test_genmap_reports_impossible_boards(capsys):
 # bench
 
 
+@pytest.mark.parametrize(
+    "flags, suite_section, message",
+    [
+        (["--agents", "0"], "", "agent_counts must be at least 1, got 0"),
+        (["--agents", "-1"], "", "agent_counts must be at least 1, got -1"),
+        (["--sizes", "-3"], "", "sizes must be at least 1, got -3"),
+        ([], "slip_probability = 1.5\n", "slip_probability must lie in [0, 1], got 1.5"),
+        ([], "slip_probability = nan\n", "slip_probability must lie in [0, 1], got nan"),
+    ],
+    ids=["agents-0", "agents-negative", "sizes-negative", "slip-above-1", "slip-nan"],
+)
+def test_bench_rejects_out_of_range_suite_values(tmp_path, capsys, flags, suite_section, message):
+    config = tmp_path / "suite.ini"
+    config.write_text("[suite]\nsizes = 5\nagents = 1\nalgorithms = astar\n" + suite_section)
+    out = tmp_path / "suite.csv"
+    assert main(["bench", "--config", str(config), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_runs_from_flags_alone(tmp_path, capsys):
     out_a = str(tmp_path / "a.csv")
     out_b = str(tmp_path / "b.csv")

@@ -162,14 +162,16 @@ def test_move_tables_agree_with_single_agent_steps():
     env = GridEnv(EnvConfig(grid=grid, num_agents=1))
     assert env.start_cells == sorted(grid.starts)
     assert [env.cells[i] for i in np.flatnonzero(env.goal_mask)] == sorted(grid.goals, key=lambda c: (c.y, c.x))
-    # Active agents never stand on a goal: they despawn on arrival.
-    for cell in set(grid.free_cells()) - grid.goals:
-        index = cell.y * grid.width + cell.x
+    obstacles = {(c.x, c.y) for c in grid.obstacles}
+    for cell in grid.free_cells():
+        index = env.index(cell)
         assert env.cells[index] == cell
         for action in Action:
-            (after,), (event,) = env.step((AgentStatus(cell),), [action], np.random.default_rng(0))
-            assert env.cells[env.move_target[index, action]] == after.cell
-            assert env.move_blocked[index, action] == (event is StepEvent.BLOCKED_BY_OBSTACLE)
+            (want,), (outcome,) = resolve_joint_move(
+                grid.width, grid.height, obstacles, [cell], [action.name.lower()]
+            )
+            assert env.cells[env.move_target[index, action]] == Cell(*want)
+            assert env.move_blocked[index, action] == (outcome == "blocked")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,49 @@ def test_step_matches_joint_resolution_oracle_for_all_joint_actions():
                 assert events[i] == StepEvent.BLOCKED_BY_OBSTACLE
             else:
                 assert events[i] in (StepEvent.VERTEX_CONFLICT, StepEvent.SWAP_CONFLICT)
+
+
+@st.composite
+def joint_moves(draw):
+    """A mostly open map of up to 4x4, 1-6 agents on distinct free cells, one action each."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    height = draw(st.integers(min_value=1, max_value=4))
+    rows = [[draw(st.sampled_from("...#")) for _ in range(width)] for _ in range(height)]
+    rows[draw(st.integers(0, height - 1))][draw(st.integers(0, width - 1))] = "G"
+    grid = parse_map("\n".join("".join(r) for r in rows) + "\n")
+    free = grid.free_cells()
+    n = draw(st.integers(min_value=1, max_value=min(6, len(free), len(grid.starts))))
+    cells = draw(st.permutations(free))[:n]
+    actions = draw(st.lists(st.sampled_from(list(Action)), min_size=n, max_size=n))
+    return grid, cells, actions
+
+
+@given(case=joint_moves())
+@settings(max_examples=300, deadline=None)
+def test_step_matches_joint_resolution_oracle_on_random_maps(case):
+    grid, cells, actions = case
+    env = GridEnv(EnvConfig(grid=grid, num_agents=len(cells)))
+    state = tuple(AgentStatus(c) for c in cells)
+    new_state, events = env.step(state, actions, np.random.default_rng(0))
+    want_pos, outcomes = resolve_joint_move(
+        grid.width,
+        grid.height,
+        {(c.x, c.y) for c in grid.obstacles},
+        [(c.x, c.y) for c in cells],
+        [a.name.lower() for a in actions],
+    )
+    for i, (after, event, outcome) in enumerate(zip(new_state, events, outcomes)):
+        assert after.cell == Cell(*want_pos[i]), i
+        if after.cell in grid.goals:
+            assert event == StepEvent.REACHED_GOAL and after.reached and not after.active
+            continue
+        assert after.active and not after.reached
+        if outcome == "moved":
+            assert event == StepEvent.MOVED
+        elif outcome == "blocked":
+            assert event == StepEvent.BLOCKED_BY_OBSTACLE
+        else:
+            assert event in (StepEvent.VERTEX_CONFLICT, StepEvent.SWAP_CONFLICT)
 
 
 def test_slip_replaces_the_chosen_action_with_a_random_move():
