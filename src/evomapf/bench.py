@@ -281,6 +281,8 @@ class SuiteConfig:
         # Also false for NaN.
         if not 0.0 <= self.slip_probability <= 1.0:
             raise ConfigError(f"slip_probability must lie in [0, 1], got {self.slip_probability!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 CSV_COLUMNS = (

@@ -156,7 +156,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_genmap(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
     grid = generate_map(args.width, args.height, args.density, rng)
     text = format_map(grid)
     if args.out:

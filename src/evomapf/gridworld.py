@@ -232,6 +232,8 @@ class EnvConfig:
             raise ConfigError("horizon must be positive")
         if not 0.0 <= self.slip_probability <= 1.0:
             raise ConfigError("slip_probability must lie in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -463,7 +465,8 @@ class BatchRollout:
     and events indices into STEP_EVENTS.  Agent i of episode b recorded
     lengths[b, i] steps, so its trajectory is cells[b, i, :lengths + 1]
     with actions[b, i, :lengths] and events[b, i, :lengths]; entries past
-    that are padding.  steps[b] is the episode's step count.
+    that are padding: its last cell, STAY and INACTIVE.  steps[b] is the
+    episode's step count.
     """
 
     cells: np.ndarray  # (B, N, S + 1)
@@ -503,106 +506,163 @@ class BatchRollout:
 
 
 def _resolve_conflicts(
-    pre: np.ndarray, final: np.ndarray, active: np.ndarray, events: np.ndarray
+    owner: np.ndarray, base: np.ndarray, pre: np.ndarray, final: np.ndarray, events: np.ndarray
 ) -> np.ndarray:
-    """Batched conflict resolution of GridEnv.step over (B, N) arrays.
+    """GridEnv.advance's revert rounds for the active agents of many episodes, in linear time.
 
-    Each round marks vertex conflicts, then swap conflicts, on the moves
-    as they stand at the start of the round; an agent keeps the first
-    conflict event it gets.  Conflicting movers are reverted and rounds
-    repeat until none is left.  Updates events in place; returns the
-    resolved cells.
+    Agent j stands on cell pre[j] of the episode whose cells start at
+    base[j] in owner, a table of -1 with one entry per cell of every
+    episode, and is headed for cell final[j] with event MOVED or BLOCKED.
+    The agents of one episode stand on distinct cells.  Each round looks
+    at the moves as they stand at its start:
+
+    - vertex: every agent writes its index at its target and reads back
+      the index kept there; one that finds another's shares its cell
+      with that agent;
+    - swap: every agent writes its target at its start; a mover that
+      reads its own start back at its target swaps with the agent
+      standing there.
+
+    An agent keeps its first conflict event, vertex before swap.
+    Conflicting movers are reverted and rounds repeat until none is
+    left.  Updates events in place, leaves owner all -1 again and returns
+    the resolved cells.
     """
-    n = pre.shape[1]
-    pairs = active[:, :, None] & active[:, None, :] & ~np.eye(n, dtype=bool)
+    ids = np.arange(len(pre), dtype=owner.dtype)
+    start = base + pre
     while True:
+        slot = base + final
+        owner[slot] = ids
+        kept = owner[slot]
+        owner[slot] = -1
+        vertex = kept != ids
+        vertex[kept[vertex]] = True
         moved = final != pre
-        vertex = ((final[:, :, None] == final[:, None, :]) & pairs).any(axis=2)
-        events[vertex & (events != _SWAP)] = _VERTEX
-        swap = (
-            (final[:, :, None] == pre[:, None, :])
-            & (pre[:, :, None] == final[:, None, :])
-            & moved[:, :, None]
-            & moved[:, None, :]
-            & pairs
-        ).any(axis=2)
-        events[swap & (events != _VERTEX)] = _SWAP
-        revert = (vertex & moved) | swap
+        owner[start] = final
+        swap = (owner[slot] == pre) & moved
+        owner[start] = -1
+        hit = vertex | swap
+        if not hit.any():
+            return final
+        fresh = hit & (events <= _BLOCKED)  # MOVED or BLOCKED: no conflict yet
+        events[fresh] = np.where(vertex[fresh], _VERTEX, _SWAP)
+        revert = hit & moved
         if not revert.any():
             return final
         final = np.where(revert, pre, final)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank within its run of equal keys, and that run's length; keys are sorted."""
+    first = np.searchsorted(keys, keys, side="left")
+    return np.arange(len(keys)) - first, np.searchsorted(keys, keys, side="right") - first
 
 
 def roll_batch(env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray) -> BatchRollout:
     """Roll one episode per seed, all at once, under a shared tabular policy.
 
     cumulative is the policy's cumulative action distribution per flat
-    cell, shape (cells, 5).  Episode k replays what run_episode does on
-    default_rng(seeds[k]): the same reset draw, then one uniform per
-    active agent and step, taken in agent order, and the action is the
-    number of cumulative entries at or below it (the last, STAY, at most).
-    With slip_probability 0 the result equals run_episode's exactly.
-    Slip draws (a uniform and a direction per agent-step) come from each
-    episode's generator after the policy uniforms, so slipping rollouts
-    follow the same distribution as run_episode but not the same draws.
+    cell, shape (cells, 5), each row non-decreasing.  Episode k replays
+    what run_episode does on default_rng(seeds[k]): the same reset draw,
+    then one uniform per active agent and step, taken in agent order, and
+    the action is the number of cumulative entries at or below it (the
+    last, STAY, at most).  With slip_probability 0 the result equals
+    run_episode's exactly.  Slip draws (a uniform and a direction per
+    agent-step) come from each episode's generator after the policy
+    uniforms, so slipping rollouts follow the same distribution as
+    run_episode but not the same draws.
+
+    A step works only on the agents still active, held as flat arrays in
+    (episode, agent) order; an agent drops out on the step it reaches a
+    goal.  Conflicts are resolved by _resolve_conflicts on one owner
+    table with an entry per (episode, cell), so a step costs time linear
+    in the number of active agents.
     """
     config = env.config
     batch, n, horizon = len(seeds), config.num_agents, config.horizon
     slip = config.slip_probability
-    uniforms = np.empty((batch, horizon * n))
-    slip_uniforms = np.empty((batch, horizon * n))
-    slip_moves = np.empty((batch, horizon * n), dtype=np.intp)
-    pos = np.empty((batch, n), dtype=np.intp)
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(int(seed))
-        pos[k] = env.start_index[rng.choice(len(env.start_index), size=n, replace=False)]
-        uniforms[k] = rng.random(horizon * n)
+    draws = horizon * n  # uniforms per episode
+    slip_draws = draws if slip > 0.0 else 0
+    starts = np.empty((batch, n), dtype=np.intp)
+    uniforms = np.empty((batch, draws))
+    slip_uniforms = np.empty((batch, slip_draws))
+    slip_moves = np.empty((batch, slip_draws), dtype=np.intp)
+    for k, seed in enumerate(np.asarray(seeds).tolist()):
+        rng = np.random.default_rng(seed)
+        starts[k] = rng.choice(len(env.start_index), size=n, replace=False)
+        uniforms[k] = rng.random(draws)
         if slip > 0.0:
-            slip_uniforms[k] = rng.random(horizon * n)
-            slip_moves[k] = rng.integers(len(MOVE_ACTIONS), size=horizon * n)
+            slip_uniforms[k] = rng.random(draws)
+            slip_moves[k] = rng.integers(len(MOVE_ACTIONS), size=draws)
+    # Flat agent b * n + i is agent i of episode b; episode b's uniforms start at b * draws.
+    start = env.start_index[starts.reshape(-1)]
+    uniforms, slip_uniforms, slip_moves = (a.reshape(-1) for a in (uniforms, slip_uniforms, slip_moves))
 
-    # Agents placed on a goal are done at t = 0 without taking a step.
-    reached = env.goal_mask[pos]
-    active = ~reached
-    lengths = np.zeros((batch, n), dtype=np.intp)
-    steps = np.zeros(batch, dtype=np.intp)
-    drawn = np.zeros((batch, 1), dtype=np.intp)  # uniforms consumed per episode
-    cells = np.empty((batch, n, horizon + 1), dtype=np.intp)
-    actions = np.empty((batch, n, horizon), dtype=np.intp)
-    events = np.empty((batch, n, horizon), dtype=np.intp)
-    cells[:, :, 0] = pos
+    # One row per flat agent: cells[:, t + 1] is its cell after step t.
+    width = horizon + 1
+    cells = np.empty((batch * n, width), dtype=np.intp)
+    cells[:, 0] = start
+    actions = np.full((batch * n, width), Action.STAY, dtype=np.intp)
+    events = np.full((batch * n, width), _INACTIVE, dtype=np.intp)
+    after, taken, happened = cells.reshape(-1)[1:], actions.reshape(-1), events.reshape(-1)
+    lengths = np.zeros(batch * n, dtype=np.intp)
+
+    num_cells = len(env.move_target)
+    target = env.move_target.reshape(-1)
+    move_event = env.move_blocked.reshape(-1).astype(np.intp)  # MOVED 0 or BLOCKED 1
+    # The action is the first whose cumulative mass exceeds u; STAY takes the rest.
+    bounds = np.array(cumulative, dtype=float)
+    bounds[:, Action.STAY] = np.inf
+    # The smallest integer type that holds every agent index and cell keeps the table small.
+    owner = np.full(batch * num_cells, -1, dtype=np.min_scalar_type(-max(batch * n, num_cells)))
+
+    # The active agents (those placed on a goal are done at t = 0).  An
+    # agent takes the uniform at draw; its episode's stride active agents
+    # take stride uniforms per step, until one of them drops out.
+    agent = np.flatnonzero(~env.goal_mask[start])
+    pos = start[agent]
+    row = agent * width
+    base = agent // n * num_cells
+    rank, stride = _runs(base)
+    draw = agent // n * draws + rank
     span = 0
-    while span < horizon and active.any():
-        steps += active.any(axis=1)
-        lengths += active
-        taken = np.cumsum(active, axis=1)
-        draw = drawn + taken - 1
-        drawn += taken[:, -1:]
-        u = np.take_along_axis(uniforms, draw, axis=1)
-        act = np.minimum((cumulative[pos] <= u[:, :, None]).sum(axis=2), Action.STAY)
-        act[~active] = Action.STAY
+    while span < horizon and len(pos):
+        u = uniforms[draw]
+        act = (bounds.take(pos, axis=0) > u[:, None]).argmax(axis=1)
         move = act
         if slip > 0.0:
-            slipped = active & (np.take_along_axis(slip_uniforms, draw, axis=1) < slip)
-            move = np.where(slipped, np.take_along_axis(slip_moves, draw, axis=1), act)
-        ev = np.where(env.move_blocked[pos, move], _BLOCKED, _MOVED)
-        ev[~active] = _INACTIVE
-        final = _resolve_conflicts(pos, env.move_target[pos, move], active, ev)
-        arrived = active & env.goal_mask[final]
+            move = np.where(slip_uniforms[draw] < slip, slip_moves[draw], act)
+        entry = pos * len(ACTIONS) + move  # into the flat move tables
+        ev = move_event[entry]
+        final = _resolve_conflicts(owner, base, pos, target[entry], ev)
+        arrived = env.goal_mask[final]
         ev[arrived] = _REACHED
-        reached |= arrived
-        active &= ~arrived
-        pos = final
-        actions[:, :, span] = act
-        events[:, :, span] = ev
+        at = row + span
+        taken[at] = act
+        happened[at] = ev
+        after[at] = final
         span += 1
-        cells[:, :, span] = pos
+        if not arrived.any():
+            pos = final
+            draw += stride
+            continue
+        lengths[row[arrived] // width] = span
+        keep = ~arrived
+        cursor = (draw - rank + stride)[keep]  # each episode's first uniform of the next step
+        pos, row, base = final[keep], row[keep], base[keep]
+        rank, stride = _runs(base)
+        draw = cursor + rank
+    lengths[row // width] = span
 
+    # Past its last step an agent stays where it ended, and it ended on a goal only by reaching it.
+    last = cells[np.arange(batch * n), lengths]
+    np.copyto(cells, last[:, None], where=np.arange(width) > lengths[:, None])
+    lengths = lengths.reshape(batch, n)
     return BatchRollout(
-        cells=cells[:, :, : span + 1],
-        actions=actions[:, :, :span],
-        events=events[:, :, :span],
+        cells=cells[:, : span + 1].reshape(batch, n, span + 1),
+        actions=actions[:, :span].reshape(batch, n, span),
+        events=events[:, :span].reshape(batch, n, span),
         lengths=lengths,
-        reached=reached,
-        steps=steps,
+        reached=env.goal_mask[last].reshape(batch, n),
+        steps=lengths.max(axis=1),
     )

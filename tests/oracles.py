@@ -1,10 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 Everything here is written from scratch against the plain definitions
-(breadth-first search, brute-force joint-move resolution, a direct scan
-and a guard-based automaton for reach-avoid scoring, per-trajectory set
-loops for fitness, a row-by-row replicator step) so that tests never
-check the library against itself.
+(breadth-first search, brute-force joint-move resolution, pairwise
+batched conflict rounds, a direct scan and a guard-based automaton for
+reach-avoid scoring, per-trajectory set loops for fitness, a row-by-row
+replicator step) so that tests never check the library against itself.
 Keep this module free of evomapf imports.
 """
 
@@ -89,6 +89,41 @@ def resolve_joint_move(width, height, obstacles, positions, moves):
         for k in to_revert:
             finals[k] = positions[k]
     return finals, outcomes
+
+
+# Event codes (positions in evomapf's StepEvent order) that resolve_conflicts_pairwise writes.
+VERTEX_CODE, SWAP_CODE = 2, 3
+
+
+def resolve_conflicts_pairwise(pre, final, active, events):
+    """Batched revert rounds over (episodes, agents) arrays by pairwise comparison.
+
+    pre and final hold each agent's cell before and after its move
+    (final == pre for agents that stay, are blocked or are inactive);
+    only active agents of the same episode conflict.  Each round marks
+    vertex conflicts, then swap conflicts, on the moves as they stand at
+    the start of the round; an agent keeps the first conflict event it
+    gets.  Conflicting movers are reverted and rounds repeat until none
+    is left.  Updates events in place; returns the resolved cells.
+    """
+    n = pre.shape[1]
+    pairs = active[:, :, None] & active[:, None, :] & ~np.eye(n, dtype=bool)
+    while True:
+        moved = final != pre
+        vertex = ((final[:, :, None] == final[:, None, :]) & pairs).any(axis=2)
+        events[vertex & (events != SWAP_CODE)] = VERTEX_CODE
+        swap = (
+            (final[:, :, None] == pre[:, None, :])
+            & (pre[:, :, None] == final[:, None, :])
+            & moved[:, :, None]
+            & moved[:, None, :]
+            & pairs
+        ).any(axis=2)
+        events[swap & (events != VERTEX_CODE)] = SWAP_CODE
+        revert = (vertex & moved) | swap
+        if not revert.any():
+            return final
+        final = np.where(revert, pre, final)
 
 
 def reach_avoid_weights(observations, a, b, c):

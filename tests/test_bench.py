@@ -276,6 +276,8 @@ def test_suite_config_validation():
     for slip in (-0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError, match="slip_probability"):
             SuiteConfig(sizes=(5,), agent_counts=(1,), slip_probability=slip)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        SuiteConfig(sizes=(5,), agent_counts=(1,), seed=-1)
 
 
 def test_train_subject_astar_needs_no_training():

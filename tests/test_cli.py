@@ -235,6 +235,28 @@ def test_genmap_reports_impossible_boards(capsys):
     assert "could not generate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--config", "{config}", "--seed", "-1", "--out", "{out}"],
+        ["eval", "{policy}", "--config", "{config}", "--seed", "-3", "--out", "{out}"],
+        ["bench", "--sizes", "5", "--agents", "1", "--algos", "astar", "--seed", "-1", "--out", "{out}"],
+        ["genmap", "--width", "8", "--height", "3", "--seed", "-1", "--out", "{out}"],
+    ],
+    ids=["train", "eval", "bench", "genmap"],
+)
+def test_negative_seeds_exit_2_naming_the_seed(strip_config, tmp_path, capsys, command):
+    policy = str(tmp_path / "policy.txt")
+    assert main(["train", "--config", strip_config, "--seed", "0", "--out", policy]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [arg.format(config=strip_config, policy=policy, out=out) for arg in command]
+    assert main(argv) == 2
+    seed = argv[argv.index("--seed") + 1]
+    assert f"seed must be non-negative, got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bench
 

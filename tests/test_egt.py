@@ -18,6 +18,7 @@ from evomapf.automaton import (
     reach_avoid_machine,
     valuate,
 )
+from evomapf.bench import generate_map
 from evomapf.egt import (
     EpisodeBatch,
     FitnessTable,
@@ -43,6 +44,7 @@ from evomapf.gridworld import (
     GridEnv,
     StepEvent,
     parse_map,
+    roll_batch,
     run_episode,
 )
 
@@ -460,6 +462,37 @@ def test_batched_conflicts_equal_run_episode(text, moves, events):
     assert_same_batch(batch, scalar_batch(policy, env, machine, SUM, 4, np.random.default_rng(0)))
     seen = {e for r in batch.rollouts for t in r.trajectories for e in t.events}
     assert seen == events
+
+
+@pytest.mark.parametrize("zero_share", [None, 0.4], ids=["uniform", "random"])
+def test_crowded_batch_equals_run_episode_on_the_acceptance_8_map(zero_share):
+    """25 agents on the 50x50 map of acceptance 8: roll_batch equals run_episode seed by seed."""
+    grid = generate_map(50, 50, 0.1, np.random.default_rng([0, 50]))
+    env = GridEnv(EnvConfig(grid=grid, num_agents=25, horizon=40))
+    policy = TabularPolicy.uniform(grid) if zero_share is None else random_policy(grid, 3, zero_share)
+    seeds = np.random.default_rng(8).integers(0, 2**63 - 1, size=16)
+    rolled = roll_batch(env, policy.cumulative().reshape(-1, 5), seeds)
+    for got, seed in zip(rolled.rollouts(env), seeds, strict=True):
+        want = run_episode(env, policy, np.random.default_rng(int(seed)))
+        assert got.steps == want.steps
+        for t, u in zip(got.trajectories, want.trajectories, strict=True):
+            assert (t.cells, t.actions, t.events, t.reached) == (u.cells, u.actions, u.events, u.reached)
+    seen = {e for r in rolled.rollouts(env) for t in r.trajectories for e in t.events}
+    assert {StepEvent.VERTEX_CONFLICT, StepEvent.SWAP_CONFLICT} <= seen
+
+
+def test_batch_padding_repeats_the_last_cell_with_stay_and_inactive():
+    grid = parse_map("....#\n.#..G\n..#..\nG....\n")
+    env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=16))
+    rolled = roll_batch(env, random_policy(grid, 1, 0.4).cumulative().reshape(-1, 5), np.arange(40))
+    span = rolled.actions.shape[2]
+    past = np.arange(span) >= rolled.lengths[:, :, None]
+    assert past.any() and not past.all()
+    assert (rolled.actions[past] == Action.STAY).all()
+    assert (rolled.events[past] == list(StepEvent).index(StepEvent.INACTIVE)).all()
+    last = np.take_along_axis(rolled.cells, rolled.lengths[:, :, None], axis=2)
+    assert (rolled.cells == np.where(np.arange(span + 1) > rolled.lengths[:, :, None], last, rolled.cells)).all()
+    assert np.array_equal(rolled.steps, rolled.lengths.max(axis=1))
 
 
 def test_training_is_bit_identical_to_the_scalar_path(monkeypatch):

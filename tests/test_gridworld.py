@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from evomapf.gridworld import (
     ACTION_DELTAS,
+    STEP_EVENTS,
     Action,
     AgentStatus,
     Cell,
@@ -18,13 +19,14 @@ from evomapf.gridworld import (
     GridEnv,
     MapParseError,
     StepEvent,
+    _resolve_conflicts,
     default_horizon,
     format_map,
     parse_map,
     run_episode,
 )
 
-from oracles import bfs_path_length, resolve_joint_move
+from oracles import SWAP_CODE, VERTEX_CODE, bfs_path_length, resolve_conflicts_pairwise, resolve_joint_move
 
 
 class ConstantPolicy:
@@ -128,6 +130,11 @@ def test_env_config_rejects_too_many_agents():
     grid = parse_map("#G\n#.\n")
     with pytest.raises(ConfigError, match="num_agents=2 exceeds the 1 available"):
         EnvConfig(grid=grid, num_agents=2)
+
+
+def test_env_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        EnvConfig(grid=parse_map("..G\n"), seed=-1)
 
 
 def test_env_config_rejects_bad_slip():
@@ -328,6 +335,83 @@ def test_zero_slip_is_deterministic():
     for seed in range(5):
         new_state, _ = env.step(state, [Action.RIGHT], np.random.default_rng(seed))
         assert new_state[0].cell == Cell(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the batched conflict kernel against the pairwise rounds
+
+MOVED, BLOCKED, INACTIVE = (
+    STEP_EVENTS.index(e) for e in (StepEvent.MOVED, StepEvent.BLOCKED_BY_OBSTACLE, StepEvent.INACTIVE)
+)
+
+
+def test_oracle_event_codes_are_the_step_event_positions():
+    assert STEP_EVENTS[VERTEX_CODE] == StepEvent.VERTEX_CONFLICT
+    assert STEP_EVENTS[SWAP_CODE] == StepEvent.SWAP_CONFLICT
+
+
+def assert_kernel_matches_pairwise_rounds(pre, final, active, events, num_cells, dtype):
+    """_resolve_conflicts on the active agents equals resolve_conflicts_pairwise on the (B, N) arrays."""
+    want_events = events.copy()
+    want = resolve_conflicts_pairwise(pre, final, active, want_events)
+    episode, agent = np.nonzero(active)
+    owner = np.full(pre.shape[0] * num_cells, -1, dtype=dtype)
+    got_events = events[episode, agent]
+    got = _resolve_conflicts(owner, episode * num_cells, pre[episode, agent], final[episode, agent], got_events)
+    assert np.array_equal(got, want[episode, agent])
+    assert np.array_equal(got_events, want_events[episode, agent])
+    assert (owner == -1).all()
+
+
+@st.composite
+def crowded_moves(draw):
+    """(episodes, agents) states on small cell sets: active agents on distinct cells, each
+    moving to a random cell or onto another agent's cell, staying, or blocked; inactive
+    agents stay anywhere."""
+    batch = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=25))
+    num_cells = n + draw(st.integers(min_value=0, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pre = np.array([rng.permutation(num_cells)[:n] for _ in range(batch)])
+    active = rng.random((batch, n)) < draw(st.sampled_from([1.0, 0.8, 0.4]))
+    pre[~active] = rng.integers(num_cells, size=(~active).sum())
+    kind = rng.choice(4, size=(batch, n), p=draw(st.sampled_from([(0.4, 0.4, 0.1, 0.1), (0.1, 0.7, 0.1, 0.1)])))
+    onto = pre[np.arange(batch)[:, None], rng.integers(n, size=(batch, n))]
+    final = np.select([kind == 0, kind == 1], [rng.integers(num_cells, size=(batch, n)), onto], pre)
+    final[~active] = pre[~active]
+    events = np.where(kind == 3, BLOCKED, MOVED)
+    events[~active] = INACTIVE
+    dtype = draw(st.sampled_from([np.int16, np.intp]))
+    return pre, final, active, events, num_cells, dtype
+
+
+@given(case=crowded_moves())
+@settings(max_examples=300, deadline=None)
+def test_conflict_kernel_matches_the_pairwise_rounds(case):
+    assert_kernel_matches_pairwise_rounds(*case)
+
+
+@pytest.mark.parametrize(
+    "pre, final, want_final, want_events",
+    [
+        # Three movers queue behind an agent that stays: each revert uncovers the next.
+        ([0, 1, 2, 3], [1, 2, 3, 3], [0, 1, 2, 3], ["v", "v", "v", "v"]),
+        # A swap whose second mover also meets a third agent: vertex comes first for it.
+        ([0, 1, 2], [1, 0, 0], [0, 1, 2], ["s", "v", "v"]),
+        # A stayer under a swap pair: no conflict of its own.
+        ([0, 1, 5], [1, 0, 5], [0, 1, 5], ["s", "s", "m"]),
+    ],
+    ids=["queue", "swap-and-vertex", "swap-beside-stayer"],
+)
+def test_conflict_kernel_on_hand_made_cases(pre, final, want_final, want_events):
+    codes = {"v": VERTEX_CODE, "s": SWAP_CODE, "m": MOVED}
+    pre, final = np.array([pre]), np.array([final])
+    active = np.ones(pre.shape, dtype=bool)
+    events = np.full(pre.shape, MOVED)
+    assert_kernel_matches_pairwise_rounds(pre, final, active, events, 6, np.intp)
+    got = resolve_conflicts_pairwise(pre, final, active, events)
+    assert got.tolist() == [want_final]
+    assert events.tolist() == [[codes[e] for e in want_events]]
 
 
 # ---------------------------------------------------------------------------
