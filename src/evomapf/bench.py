@@ -378,10 +378,7 @@ def run_suite(config: SuiteConfig, out_path: str | None = None, header_meta: dic
             for algo_index, algorithm in enumerate(config.algorithms):
                 try:
                     env_config = EnvConfig(
-                        grid=grid,
-                        num_agents=num_agents,
-                        slip_probability=config.slip_probability,
-                        seed=config.seed,
+                        grid=grid, num_agents=num_agents, slip_probability=config.slip_probability
                     )
                     rewards = RewardParams.default_for(env_config.horizon)
                     train_rng = np.random.default_rng([config.seed, size, num_agents, algo_index])

@@ -217,7 +217,6 @@ class EnvConfig:
     num_agents: int = 1
     horizon: int = 0  # 0 means 2 * (width + height)
     slip_probability: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.horizon == 0:
@@ -232,8 +231,6 @@ class EnvConfig:
             raise ConfigError("horizon must be positive")
         if not 0.0 <= self.slip_probability <= 1.0:
             raise ConfigError("slip_probability must lie in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

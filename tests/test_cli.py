@@ -177,6 +177,47 @@ def test_malformed_delta_names_the_key(strip_config, tmp_path, capsys):
     assert "[train] delta: expected a float, got 'tiny'" in capsys.readouterr().err
 
 
+def test_a_malformed_reward_names_its_section_once(strip_config, tmp_path, capsys):
+    config = tmp_path / "lots.ini"
+    config.write_text(FAST_TRAIN + "\n[reward]\ngoal_reward = lots\n")
+    out = tmp_path / "p"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [reward] goal_reward: expected a float, got 'lots'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("delta = tiny", "[train] delta: expected a float, got 'tiny'"),
+        ("valuation = bogus", "[train] valuation: expected sum, avg, or discounted_sum, got 'bogus'"),
+        ("patience = 2.5", "[train] patience: expected an integer, got '2.5'"),
+    ],
+    ids=["delta", "valuation", "patience"],
+)
+def test_egt_keys_are_checked_when_another_algorithm_trains(strip_config, tmp_path, capsys, line, message):
+    config = tmp_path / "q.ini"
+    config.write_text(FAST_TRAIN + "algorithm = qlearning\n" + line + "\n")
+    out = tmp_path / "p"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[DEFAULT]\nseed = 3\n\n[env]\nmap = strip.map\n\n[train]\nmax_iterations = 2\n", "[DEFAULT]\nseed = 3\n"],
+    ids=["with-sections", "alone"],
+)
+def test_a_default_section_is_rejected(strip_config, tmp_path, capsys, text):
+    config = tmp_path / "default.ini"
+    config.write_text(text)
+    out = tmp_path / "p"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_ini_exits_2(tmp_path, capsys):
     config = tmp_path / "broken.ini"
     config.write_text("no section header here\n")
@@ -281,6 +322,24 @@ def test_bench_rejects_out_of_range_suite_values(tmp_path, capsys, flags, suite_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sizes", "5 6"], "[suite] sizes: expected comma-separated integers, got '5 6'"),
+        (["--sizes", "5,"], "[suite] sizes: expected comma-separated integers, got '5,'"),
+        (["--agents", "1 2"], "[suite] agents: expected comma-separated integers, got '1 2'"),
+        (["--algos", "as tar"], "[suite] algorithms: expected comma-separated names, got 'as tar'"),
+    ],
+    ids=["sizes-space", "sizes-trailing-comma", "agents-space", "algos-space"],
+)
+def test_bench_list_items_are_split_on_commas_only(tmp_path, capsys, flags, message):
+    out = tmp_path / "suite.csv"
+    argv = ["bench", "--sizes", "5", "--agents", "1", "--algos", "astar", "--episodes", "2", *flags]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_runs_from_flags_alone(tmp_path, capsys):
     out_a = str(tmp_path / "a.csv")
     out_b = str(tmp_path / "b.csv")
@@ -298,3 +357,85 @@ def test_bench_runs_from_flags_alone(tmp_path, capsys):
                 assert a == b
     assert rows_a[1][0] == "astar"
     assert rows_a[1][header.index("error")] == ""
+
+
+# ---------------------------------------------------------------------------
+# echoed configuration
+
+
+def comment_lines(path) -> list[str]:
+    return [line for line in open(path).read().splitlines() if line.startswith("# ") and " = " in line]
+
+
+ECHOED_ENV = [
+    "# env.height = 1",
+    "# env.horizon = 6",
+    "# env.map = strip.map",
+    "# env.num_agents = 1",
+    "# env.seed = {seed}",
+    "# env.slip_probability = 0.0",
+    "# env.width = 5",
+]
+ECHOED_REWARD = [
+    "# reward.collision_penalty = 60.0",
+    "# reward.gamma = 0.9",
+    "# reward.goal_reward = 60.0",
+    "# reward.step_penalty = 1.0",
+]
+
+
+def as_config(lines: list[str]) -> dict[str, str]:
+    return dict(line[2:].split(" = ", 1) for line in lines)
+
+
+def test_train_and_eval_echo_the_resolved_configuration(strip_config, tmp_path, capsys):
+    config = tmp_path / "echo.ini"
+    config.write_text(FAST_TRAIN + "episodes = 30\n\n[reward]\ngamma = 0.9\n")
+    egt, q, metrics = (str(tmp_path / name) for name in ("egt.policy", "q.policy", "eval.csv"))
+    assert main(["train", "--config", str(config), "--seed", "2", "--out", egt]) == 0
+    assert main(["train", "--config", str(config), "--algorithm", "qlearning", "--out", q]) == 0
+    argv = ["eval", egt, "--config", str(config), "--episodes", "3", "--seed", "1", "--out", metrics]
+    assert main(argv) == 0
+
+    env = [line.format(seed=2) for line in ECHOED_ENV]
+    egt_config = env + ECHOED_REWARD + [
+        "# train.algorithm = egt",
+        "# train.alpha = 0.5",
+        "# train.batch_size = 8",
+        "# train.delta = 0.6",
+        "# train.epsilon = 0.05",
+        "# train.max_iterations = 4",
+        "# train.nu = 0.05",
+        "# train.patience = 3",
+        "# train.valuation = discounted_sum",
+    ]
+    assert comment_lines(egt) == sorted(egt_config + ["# height = 1", "# width = 5"])
+    assert json.load(open(egt + ".report.json"))["config"] == as_config(egt_config)
+
+    q_config = [line.format(seed=0) for line in ECHOED_ENV] + ECHOED_REWARD + [
+        "# train.algorithm = qlearning",
+        "# train.episodes = 30",
+    ]
+    assert comment_lines(q) == sorted(q_config + ["# height = 1", "# width = 5"])
+    assert json.load(open(q + ".report.json"))["config"] == as_config(q_config)
+
+    eval_env = [line.format(seed=1) for line in ECHOED_ENV]
+    assert comment_lines(metrics) == eval_env + ["# eval.episodes = 3", f"# eval.policy = {egt}"]
+
+
+def test_bench_echoes_the_resolved_suite(tmp_path, capsys):
+    config = tmp_path / "suite.ini"
+    config.write_text("[env]\nseed = 4\n\n[suite]\nsizes = 4, 5\nagents = 1\ndensity = 0.2\n")
+    out = str(tmp_path / "suite.csv")
+    argv = ["bench", "--config", str(config), "--algos", "astar", "--episodes", "2", "--out", out]
+    assert main(argv) == 0
+    assert comment_lines(out) == [
+        "# suite.agents = 1",
+        "# suite.algorithms = astar",
+        "# suite.density = 0.2",
+        "# suite.eval_episodes = 2",
+        "# suite.seed = 4",
+        "# suite.sizes = 4,5",
+        "# suite.slip_probability = 0.0",
+        "# suite.train_episodes = 4000",
+    ]

@@ -132,11 +132,6 @@ def test_env_config_rejects_too_many_agents():
         EnvConfig(grid=grid, num_agents=2)
 
 
-def test_env_config_rejects_a_negative_seed():
-    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-        EnvConfig(grid=parse_map("..G\n"), seed=-1)
-
-
 def test_env_config_rejects_bad_slip():
     grid = parse_map("G.\n")
     with pytest.raises(ConfigError, match="slip_probability"):
