@@ -88,11 +88,15 @@ class RewardParams:
             raise ValueError("step_penalty must be non-negative")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
-        if not (self.goal_reward >= self.collision_penalty > self.step_penalty * self.horizon):
+        if not self.goal_reward >= self.collision_penalty:
             raise ValueError(
-                "reward constraint violated: need b >= c > a*T "
-                f"(goal_reward={self.goal_reward}, collision_penalty={self.collision_penalty}, "
-                f"step_penalty*horizon={self.step_penalty * self.horizon})"
+                f"goal_reward must be at least collision_penalty, need b >= c > a*T "
+                f"(goal_reward={self.goal_reward}, collision_penalty={self.collision_penalty})"
+            )
+        if not self.collision_penalty > self.step_penalty * self.horizon:
+            raise ValueError(
+                f"collision_penalty must exceed step_penalty*horizon, need b >= c > a*T "
+                f"(collision_penalty={self.collision_penalty}, step_penalty*horizon={self.step_penalty * self.horizon})"
             )
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")

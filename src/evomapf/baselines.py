@@ -83,7 +83,7 @@ class LearnerParams:
     episodes: int = 2000
     learning_rate: float = 0.1  # Q-learning only
     gamma: float = 0.99
-    epsilon: float = 0.2
+    epsilon_greedy: float = 0.2
     epsilon_decay: float = 0.995
     epsilon_min: float = 0.02
     mc_batch: int = 50  # Monte-Carlo: episodes per policy-improvement batch
@@ -93,7 +93,7 @@ class LearnerParams:
             raise ConfigError("episodes must be at least 1")
         if self.mc_batch < 1:
             raise ConfigError("mc_batch must be at least 1")
-        for name in ("learning_rate", "gamma", "epsilon", "epsilon_decay", "epsilon_min"):
+        for name in ("learning_rate", "gamma", "epsilon_greedy", "epsilon_decay", "epsilon_min"):
             value = getattr(self, name)
             # Also false for NaN.
             if not 0.0 <= value <= 1.0:
@@ -120,7 +120,7 @@ def _epsilon_greedy_episodes(
     # Reward per event code: the collision or plain step symbol, plus the goal symbol on arrival.
     step_reward = [seeking[1] if ev in COLLISION_EVENTS else seeking[0] for ev in STEP_EVENTS]
     step_reward[_REACHED] += seeking[2]
-    epsilon = params.epsilon
+    epsilon = params.epsilon_greedy
 
     def choose(agent: int, cell: int) -> int:
         if rng.random() < epsilon:
@@ -225,3 +225,7 @@ def monte_carlo_train(
     grid = env_config.grid
     q = monte_carlo_table(env_config, rewards, params, rng)
     return TabularPolicy(grid.width, grid.height, q, grid.free_cells()).greedy()
+
+
+# The tabular learners by algorithm name; each returns a greedy policy.
+LEARNERS = {"qlearning": qlearning_train, "montecarlo": monte_carlo_train}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import RewardParams, RewardMachine
-from .baselines import LearnerParams, astar, monte_carlo_train, qlearning_train
+from .baselines import LEARNERS, LearnerParams, astar
 from .egt import TabularPolicy, TrainConfig, train
 from .gridworld import (
     ACTION_DELTAS,
@@ -33,7 +33,7 @@ from .gridworld import (
     run_episode,
 )
 
-ALGORITHMS = ("egt", "astar", "qlearning", "montecarlo")
+ALGORITHMS = ("egt", "astar", *LEARNERS)
 
 
 class AStarPlanner:
@@ -180,83 +180,82 @@ def evaluate(
     )
 
 
-def generate_map(
-    width: int,
-    height: int,
-    density: float,
-    rng: np.random.Generator,
-    goal_region: int = 50,
-    max_tries: int = 200,
-) -> GridMap:
-    """Random map: uniform obstacles at the given density, one goal per
-    goal_region x goal_region tile (at least one), every free cell
-    connected to some goal.  Rejected draws are retried."""
+# Generated maps get one goal per GOAL_REGION x GOAL_REGION tile, and a
+# draw is retried at most MAX_TRIES times.
+GOAL_REGION = 50
+MAX_TRIES = 200
+
+
+def _check_density(density: float) -> None:
+    # Also false for NaN.
     if not 0.0 <= density <= 0.4:
-        raise ConfigError("obstacle density must lie in [0, 0.4]")
+        raise ConfigError(f"density must lie in [0, 0.4], got {density!r}")
+
+
+def _reaches_everywhere(free: np.ndarray, seeds: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether every free cell of the (H, W) mask connects to a seed cell, by flood fill."""
+    reached = np.zeros_like(free)
+    reached[seeds] = True
+    while True:
+        grown = reached.copy()
+        grown[1:] |= reached[:-1]
+        grown[:-1] |= reached[1:]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= free
+        if np.array_equal(grown, reached):
+            return np.array_equal(reached, free)
+        reached = grown
+
+
+def generate_map(width: int, height: int, density: float, rng: np.random.Generator) -> GridMap:
+    """Random map: uniform obstacles at the given density, one goal per
+    GOAL_REGION x GOAL_REGION tile (at least one), every free cell
+    connected to some goal.  Rejected draws are retried."""
+    _check_density(density)
     if width < 1 or height < 1:
         raise ConfigError("map must have positive width and height")
     total = width * height
     n_obstacles = round(density * total)
-    all_cells = [Cell(x, y) for y in range(height) for x in range(width)]
-    for _ in range(max_tries):
-        picks = rng.choice(total, size=n_obstacles, replace=False) if n_obstacles else []
-        obstacles = {all_cells[int(i)] for i in picks}
-        goals: set[Cell] = set()
-        feasible = True
-        for ry in range(0, height, goal_region):
-            for rx in range(0, width, goal_region):
-                candidates = [
-                    Cell(x, y)
-                    for y in range(ry, min(ry + goal_region, height))
-                    for x in range(rx, min(rx + goal_region, width))
-                    if Cell(x, y) not in obstacles
-                ]
-                if not candidates:
-                    feasible = False
-                    break
-                goals.add(candidates[int(rng.integers(len(candidates)))])
-            if not feasible:
+    tiles = [(ry, rx) for ry in range(0, height, GOAL_REGION) for rx in range(0, width, GOAL_REGION)]
+    for _ in range(MAX_TRIES):
+        free = np.ones(total, dtype=bool)
+        if n_obstacles:
+            free[rng.choice(total, size=n_obstacles, replace=False)] = False
+        free = free.reshape(height, width)
+        goal_ys: list[int] = []
+        goal_xs: list[int] = []
+        for ry, rx in tiles:
+            # Candidates in row-major order.
+            ys, xs = np.nonzero(free[ry:ry + GOAL_REGION, rx:rx + GOAL_REGION])
+            if not len(ys):
                 break
-        if not feasible:
-            continue
-        free = [c for c in all_cells if c not in obstacles]
-        starts = {c for c in free if c not in goals}
-        if not starts:
-            continue
-        # Every free cell must reach some goal.
-        seen = set(goals)
-        frontier = list(goals)
-        while frontier:
-            cur = frontier.pop()
-            for dx, dy in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-                nxt = Cell(cur.x + dx, cur.y + dy)
-                if (
-                    0 <= nxt.x < width
-                    and 0 <= nxt.y < height
-                    and nxt not in obstacles
-                    and nxt not in seen
-                ):
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != len(free):
-            continue
-        return GridMap(
-            width=width,
-            height=height,
-            obstacles=frozenset(obstacles),
-            goals=frozenset(goals),
-            starts=frozenset(starts),
-        )
+            k = int(rng.integers(len(ys)))
+            goal_ys.append(ry + int(ys[k]))
+            goal_xs.append(rx + int(xs[k]))
+        else:
+            goals = (np.array(goal_ys), np.array(goal_xs))
+            # A free cell besides the goals is a start.
+            if free.sum() > len(tiles) and _reaches_everywhere(free, goals):
+                starts = free.copy()
+                starts[goals] = False
+                return GridMap(
+                    width=width,
+                    height=height,
+                    obstacles=frozenset(Cell(x, y) for y, x in np.argwhere(~free).tolist()),
+                    goals=frozenset(map(Cell, goal_xs, goal_ys)),
+                    starts=frozenset(Cell(x, y) for y, x in np.argwhere(starts).tolist()),
+                )
     raise ConfigError(
         f"could not generate a connected {width}x{height} map at density {density} "
-        f"after {max_tries} tries"
+        f"after {MAX_TRIES} tries"
     )
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     sizes: tuple[int, ...]
-    agent_counts: tuple[int, ...]
+    agents: tuple[int, ...]
     algorithms: tuple[str, ...] = ALGORITHMS
     eval_episodes: int = 100
     train_episodes: int = 4000  # total environment episodes granted each learner
@@ -265,19 +264,17 @@ class SuiteConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.sizes or not self.agent_counts or not self.algorithms:
-            raise ConfigError("suite needs at least one size, agent count, and algorithm")
+        for name in ("sizes", "agents", "algorithms"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one item")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
-            raise ConfigError(f"unknown algorithms {unknown}; choose from {list(ALGORITHMS)}")
-        if self.eval_episodes < 1 or self.train_episodes < 1:
-            raise ConfigError("episode counts must be positive")
-        if not 0.0 <= self.density <= 0.4:
-            raise ConfigError("obstacle density must lie in [0, 0.4]")
-        if min(self.sizes) < 1:
-            raise ConfigError(f"sizes must be at least 1, got {min(self.sizes)}")
-        if min(self.agent_counts) < 1:
-            raise ConfigError(f"agent_counts must be at least 1, got {min(self.agent_counts)}")
+            raise ConfigError(f"algorithms must be among {list(ALGORITHMS)}, got {unknown}")
+        for name, least in (("sizes", min(self.sizes)), ("agents", min(self.agents)),
+                            ("eval_episodes", self.eval_episodes), ("train_episodes", self.train_episodes)):
+            if least < 1:
+                raise ConfigError(f"{name} must be at least 1, got {least}")
+        _check_density(self.density)
         # Also false for NaN.
         if not 0.0 <= self.slip_probability <= 1.0:
             raise ConfigError(f"slip_probability must lie in [0, 1], got {self.slip_probability!r}")
@@ -285,10 +282,17 @@ class SuiteConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-CSV_COLUMNS = (
-    "algorithm,grid_size,num_agents,seed,success_rate,mean_timesteps,"
-    "obstacle_distance,train_seconds,eval_seconds,collisions_per_episode,error"
+# The metric columns of a suite row, in CSV order, each with its number format.
+METRIC_FORMATS = (
+    ("success_rate", ".6f"),
+    ("mean_timesteps", ".6f"),
+    ("obstacle_distance", ".6f"),
+    ("train_seconds", ".3f"),
+    ("eval_seconds", ".3f"),
+    ("collisions_per_episode", ".6f"),
 )
+
+CSV_COLUMNS = ("algorithm", "grid_size", "num_agents", "seed", *(name for name, _ in METRIC_FORMATS), "error")
 
 NA = "na"
 
@@ -308,13 +312,11 @@ def train_subject(
         config = TrainConfig(
             env=env_config,
             rewards=rewards,
-            max_iterations=max(1, train_episodes // TrainConfig(env=env_config).batch_size),
+            max_iterations=max(1, train_episodes // TrainConfig.batch_size),
         )
         subject = train(config, rng).policy.greedy()
-    elif algorithm == "qlearning":
-        subject = qlearning_train(env_config, rewards, LearnerParams(episodes=train_episodes), rng)
-    elif algorithm == "montecarlo":
-        subject = monte_carlo_train(env_config, rewards, LearnerParams(episodes=train_episodes), rng)
+    elif algorithm in LEARNERS:
+        subject = LEARNERS[algorithm](env_config, rewards, LearnerParams(episodes=train_episodes), rng)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {list(ALGORITHMS)}")
     return subject, time.perf_counter() - started
@@ -323,41 +325,21 @@ def train_subject(
 def metrics_row(
     algorithm: str, grid_size: int, num_agents: int, seed: int, metrics: Metrics | None, error: str = ""
 ) -> dict[str, str]:
-    def fmt(value: float | None, spec: str = ".6f") -> str:
-        return NA if value is None else format(value, spec)
-
-    if metrics is None:
-        fields = dict.fromkeys(
-            ("success_rate", "mean_timesteps", "obstacle_distance",
-             "train_seconds", "eval_seconds", "collisions_per_episode"),
-            NA,
-        )
-    else:
-        fields = {
-            "success_rate": fmt(metrics.success_rate),
-            "mean_timesteps": fmt(metrics.mean_timesteps),
-            "obstacle_distance": fmt(metrics.obstacle_distance),
-            "train_seconds": fmt(metrics.train_seconds, ".3f"),
-            "eval_seconds": fmt(metrics.eval_seconds, ".3f"),
-            "collisions_per_episode": fmt(metrics.collisions_per_episode),
-        }
-    return {
-        "algorithm": algorithm,
-        "grid_size": str(grid_size),
-        "num_agents": str(num_agents),
-        "seed": str(seed),
-        **fields,
-        "error": error,
-    }
+    """One suite row; every metric is `na` when metrics is None, or when it has no value."""
+    row = {"algorithm": algorithm, "grid_size": str(grid_size), "num_agents": str(num_agents), "seed": str(seed)}
+    for name, spec in METRIC_FORMATS:
+        value = None if metrics is None else getattr(metrics, name)
+        row[name] = NA if value is None else format(value, spec)
+    row["error"] = error
+    return row
 
 
 def write_csv(path: str, rows: list[dict[str, str]], header_meta: dict[str, str] | None = None) -> None:
     """Write suite rows; `# key = value` comment lines echo the configuration."""
-    columns = CSV_COLUMNS.split(",")
     with open(path, "w", newline="") as fh:
         for key in sorted(header_meta or {}):
             fh.write(f"# {key} = {header_meta[key]}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -374,7 +356,7 @@ def run_suite(config: SuiteConfig, out_path: str | None = None, header_meta: dic
     rows: list[dict[str, str]] = []
     for size in config.sizes:
         grid = generate_map(size, size, config.density, np.random.default_rng([config.seed, size]))
-        for num_agents in config.agent_counts:
+        for num_agents in config.agents:
             for algo_index, algorithm in enumerate(config.algorithms):
                 try:
                     env_config = EnvConfig(

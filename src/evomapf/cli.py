@@ -5,10 +5,11 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
-from .baselines import monte_carlo_train, qlearning_train
+from .baselines import LEARNERS
 from .bench import evaluate, generate_map, metrics_row, run_suite, write_csv
 from .config import TRAINABLE_ALGORITHMS, RunConfig, load_config
 from .egt import load_policy, save_policy, train
@@ -72,8 +73,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         params = config.build_learner_params(rewards)
         started = time.perf_counter()
-        trainer = qlearning_train if algorithm == "qlearning" else monte_carlo_train
-        policy = trainer(env, rewards, params, rng)
+        policy = LEARNERS[algorithm](env, rewards, params, rng)
         header.update(_echo("train", params, ("episodes",)))
         outcome = {"episodes": params.episodes, "wall_clock_seconds": time.perf_counter() - started}
 
@@ -92,23 +92,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     policy, meta = load_policy(args.policy)
     rng = np.random.default_rng(seed)
     metrics = evaluate(policy, env, args.episodes, rng)
-    print(f"success_rate            {metrics.success_rate:.6f}")
-    print(f"mean_timesteps          {'na' if metrics.mean_timesteps is None else format(metrics.mean_timesteps, '.6f')}")
-    print(f"obstacle_distance       {'na' if metrics.obstacle_distance is None else format(metrics.obstacle_distance, '.6f')}")
-    print(f"collisions_per_episode  {metrics.collisions_per_episode:.6f}")
-    print(f"eval_seconds            {metrics.eval_seconds:.3f}")
+    size = max(env.grid.width, env.grid.height)
+    row = metrics_row(meta.get("train.algorithm", "policy"), size, env.num_agents, seed, metrics)
+    for name in ("success_rate", "mean_timesteps", "obstacle_distance", "collisions_per_episode", "eval_seconds"):
+        print(f"{name:<24}{row[name]}")
     if args.out:
         header = {**_echo_env(config, env), "eval.episodes": str(args.episodes), "eval.policy": args.policy}
-        size = max(env.grid.width, env.grid.height)
-        row = metrics_row(meta.get("train.algorithm", "policy"), size, env.num_agents, seed, metrics)
         write_csv(args.out, [row], header)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     suite = load_config(args.config, _overrides(args)).build_suite()
-    names = ("sizes", "algorithms", "eval_episodes", "train_episodes", "density", "slip_probability", "seed")
-    header = {**_echo("suite", suite, names), "suite.agents": _text(suite.agent_counts)}
+    header = _echo("suite", suite, (field.name for field in fields(suite)))
     rows = run_suite(suite, out_path=args.out, header_meta=header)
     failures = [row for row in rows if row["error"]]
     print(f"wrote {len(rows)} rows to {args.out}" if args.out else f"{len(rows)} rows")

@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, TypeVar
 
 from .automaton import RewardParams, Valuation, discounted_sum
-from .baselines import LearnerParams
+from .baselines import LEARNERS, LearnerParams
 from .bench import SuiteConfig
 from .egt import TrainConfig
 from .gridworld import ConfigError, EnvConfig, parse_map
 
-TRAINABLE_ALGORITHMS = ("egt", "qlearning", "montecarlo")
+TRAINABLE_ALGORITHMS = ("egt", *LEARNERS)
+
+T = TypeVar("T")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -73,15 +75,23 @@ class RunConfig:
     def get(self, section: str, key: str, default=None):
         return self.values.get(section, {}).get(key, default)
 
-    def _set(self, section: str, *keys: str) -> dict[str, object]:
-        """The given keys of section that are set, for passing as keyword arguments."""
-        values = self.values.get(section, {})
-        return {key: values[key] for key in keys if key in values}
+    def _build(self, section: str, cls: type[T], **given) -> T:
+        """cls(**given) plus the keys of section that are set and are fields of cls, but not given.
+
+        A range error from cls comes back as `[section] <message>`, and
+        every such message starts with the field, so it names the key.
+        """
+        names = {field.name for field in fields(cls)} - given.keys()
+        keys = {key: value for key, value in self.values.get(section, {}).items() if key in names}
+        try:
+            return cls(**given, **keys)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
 
     def seed(self) -> int:
         seed = self.get("env", "seed", 0)
         if seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {seed}")
+            raise ConfigError(f"[env] seed must be non-negative, got {seed}")
         return seed
 
     def build_env(self) -> EnvConfig:
@@ -94,38 +104,25 @@ class RunConfig:
                 grid = parse_map(fh.read())
         except OSError as exc:
             raise ConfigError(f"[env] map: cannot read {resolved!r} ({exc})") from None
-        return EnvConfig(grid=grid, **self._set("env", "num_agents", "horizon", "slip_probability"))
+        return self._build("env", EnvConfig, grid=grid)
 
     def build_rewards(self, horizon: int) -> RewardParams:
-        try:
-            return replace(RewardParams.default_for(horizon), **self.values.get("reward", {}))
-        except ValueError as exc:
-            raise ConfigError(f"[reward]: {exc}") from None
+        defaults = asdict(RewardParams.default_for(horizon))
+        return self._build("reward", RewardParams, **{**defaults, **self.values.get("reward", {})})
 
     def build_train(self, env: EnvConfig, rewards: RewardParams) -> TrainConfig:
         kind = self.get("train", "valuation", "discounted_sum")
-        return TrainConfig(
-            env=env,
-            rewards=rewards,
-            valuation=discounted_sum(rewards.gamma) if kind == "discounted_sum" else Valuation(kind),
-            **self._set(
-                "train", "nu", "epsilon", "delta", "alpha", "batch_size", "max_iterations", "patience"
-            ),
-        )
+        valuation = discounted_sum(rewards.gamma) if kind == "discounted_sum" else Valuation(kind)
+        return self._build("train", TrainConfig, env=env, rewards=rewards, valuation=valuation)
 
     def build_learner_params(self, rewards: RewardParams) -> LearnerParams:
-        params = self._set(
-            "train", "episodes", "learning_rate", "epsilon_decay", "epsilon_min", "mc_batch", "epsilon_greedy"
-        )
-        if "epsilon_greedy" in params:
-            params["epsilon"] = params.pop("epsilon_greedy")
-        return LearnerParams(gamma=rewards.gamma, **params)
+        return self._build("train", LearnerParams, gamma=rewards.gamma)
 
     def build_suite(self) -> SuiteConfig:
-        params = dict(self.values.get("suite", {}))
-        if "sizes" not in params or "agents" not in params:
+        suite = self.values.get("suite", {})
+        if "sizes" not in suite or "agents" not in suite:
             raise ConfigError("[suite]: both sizes and agents are required")
-        return SuiteConfig(agent_counts=params.pop("agents"), seed=self.seed(), **params)
+        return self._build("suite", SuiteConfig, seed=self.seed())
 
 
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:

@@ -170,7 +170,7 @@ def test_monte_carlo_single_episode_is_the_first_visit_return():
     q = monte_carlo_table(
         EnvConfig(grid=grid, horizon=4),
         rewards,
-        LearnerParams(episodes=1, mc_batch=1, epsilon=0.0, epsilon_min=0.0, gamma=gamma),
+        LearnerParams(episodes=1, mc_batch=1, epsilon_greedy=0.0, epsilon_min=0.0, gamma=gamma),
         np.random.default_rng(0),
     )
     step_reward = -1.0 - 10.0  # every step bumps the wall
@@ -207,7 +207,7 @@ def test_learners_leave_the_table_at_zero_when_every_agent_starts_on_a_goal():
         ("mc_batch", 0),
         ("learning_rate", 1.5),
         ("gamma", float("nan")),
-        ("epsilon", -0.1),
+        ("epsilon_greedy", -0.1),
         ("epsilon_decay", float("inf")),
         ("epsilon_min", float("nan")),
     ],
@@ -268,7 +268,7 @@ def reference_tables(env_config, rewards, params, rng):
         return reward + bonus if event is StepEvent.REACHED_GOAL else reward
 
     def episodes(q):
-        epsilon = params.epsilon
+        epsilon = params.epsilon_greedy
 
         def choose(cell):
             if rng.random() < epsilon:
@@ -323,7 +323,7 @@ def test_learners_equal_the_cell_level_reference_loops(num_agents, slip):
     env_config = EnvConfig(grid=grid, num_agents=num_agents, slip_probability=slip)
     rewards = RewardParams.default_for(env_config.horizon)
     # 200 episodes in batches of 30: the last Monte-Carlo batch is short.
-    params = LearnerParams(episodes=200, mc_batch=30, epsilon=0.5, epsilon_decay=0.99)
+    params = LearnerParams(episodes=200, mc_batch=30, epsilon_greedy=0.5, epsilon_decay=0.99)
     want_q, want_mc = reference_tables(env_config, rewards, params, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     got_q = qlearning_table(env_config, rewards, params, rng)

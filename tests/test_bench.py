@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from evomapf.gridworld import (
     EnvConfig,
     GridEnv,
     GridMap,
+    format_map,
     parse_map,
     run_episode,
 )
@@ -254,6 +257,22 @@ def test_generate_map_rejects_bad_density():
         generate_map(5, 5, 0.7, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "size, seed, sha256",
+    [
+        (20, [7, 20], "8bb88279a05f86eadb36f020e02863924e84753c62e832d735c891941211b828"),
+        (50, [0, 50], "9b90f3809d32abfdabbff3c4df911e62c564d6edfa02b97fddc4794df761f091"),
+        (10, [0, 10], "89ea7c878353833371e63cdb54e1daa65556f39a4a32151b278cc7accf236056"),
+        (20, [0, 20], "b85e33c7ab09df0ececf65d7a1638f030a1ce29b3aa2109a6a20256aca4b6a1c"),
+    ],
+    ids=["acceptance-6", "eval-crowd", "suite-10", "suite-20"],
+)
+def test_generate_map_keeps_the_pinned_maps(size, seed, sha256):
+    # The training fixture, the 25-agent evaluation map and the default suite maps at density 0.1.
+    text = format_map(generate_map(size, size, 0.1, np.random.default_rng(seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 # ---------------------------------------------------------------------------
 # suite plumbing
 
@@ -264,20 +283,20 @@ def test_algorithm_roster():
 
 def test_suite_config_validation():
     with pytest.raises(ConfigError, match="at least one"):
-        SuiteConfig(sizes=(), agent_counts=(1,))
-    with pytest.raises(ConfigError, match="unknown algorithms"):
-        SuiteConfig(sizes=(5,), agent_counts=(1,), algorithms=("ppo",))
+        SuiteConfig(sizes=(), agents=(1,))
+    with pytest.raises(ConfigError, match="algorithms must be among"):
+        SuiteConfig(sizes=(5,), agents=(1,), algorithms=("ppo",))
     with pytest.raises(ConfigError, match="density"):
-        SuiteConfig(sizes=(5,), agent_counts=(1,), density=0.9)
+        SuiteConfig(sizes=(5,), agents=(1,), density=0.9)
     with pytest.raises(ConfigError, match="sizes"):
-        SuiteConfig(sizes=(5, 0), agent_counts=(1,))
-    with pytest.raises(ConfigError, match="agent_counts"):
-        SuiteConfig(sizes=(5,), agent_counts=(-1,))
+        SuiteConfig(sizes=(5, 0), agents=(1,))
+    with pytest.raises(ConfigError, match="agents must be at least 1"):
+        SuiteConfig(sizes=(5,), agents=(-1,))
     for slip in (-0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError, match="slip_probability"):
-            SuiteConfig(sizes=(5,), agent_counts=(1,), slip_probability=slip)
+            SuiteConfig(sizes=(5,), agents=(1,), slip_probability=slip)
     with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-        SuiteConfig(sizes=(5,), agent_counts=(1,), seed=-1)
+        SuiteConfig(sizes=(5,), agents=(1,), seed=-1)
 
 
 def test_train_subject_astar_needs_no_training():
@@ -343,7 +362,7 @@ def test_write_csv_echoes_configuration_comments(tmp_path):
 def test_run_suite_rows_and_determinism(tmp_path):
     config = SuiteConfig(
         sizes=(5,),
-        agent_counts=(1,),
+        agents=(1,),
         algorithms=("astar", "qlearning"),
         eval_episodes=3,
         train_episodes=30,
@@ -366,7 +385,7 @@ def test_run_suite_rows_and_determinism(tmp_path):
 def test_run_suite_records_failures_and_continues(tmp_path):
     config = SuiteConfig(
         sizes=(4,),
-        agent_counts=(50,),
+        agents=(50,),
         algorithms=("astar", "montecarlo"),
         eval_episodes=2,
         train_episodes=10,

@@ -170,6 +170,30 @@ def test_montecarlo_with_an_empty_batch_exits_2(strip_config, tmp_path, capsys):
     assert "mc_batch must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "algorithm, text, message",
+    [
+        ("egt", "[env]\nmap = strip.map\nnum_agents = 0\n", "[env] num_agents must be at least 1"),
+        ("egt", FAST_TRAIN + "nu = 0\n", "[train] nu must lie in (0, 1]"),
+        ("montecarlo", FAST_TRAIN + "mc_batch = 0\n", "[train] mc_batch must be at least 1"),
+        (
+            "qlearning",
+            FAST_TRAIN + "epsilon_greedy = 2\n",
+            "[train] epsilon_greedy must be a finite number in [0, 1], got 2.0",
+        ),
+        ("egt", FAST_TRAIN + "\n[reward]\nstep_penalty = -1\n", "[reward] step_penalty must be non-negative"),
+    ],
+    ids=["num_agents", "nu", "mc_batch", "epsilon_greedy", "step_penalty"],
+)
+def test_train_range_errors_name_the_section_and_key(strip_config, tmp_path, capsys, algorithm, text, message):
+    config = tmp_path / "range.ini"
+    config.write_text(text)
+    out = tmp_path / "p"
+    assert main(["train", "--config", str(config), "--algorithm", algorithm, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_malformed_delta_names_the_key(strip_config, tmp_path, capsys):
     config = tmp_path / "delta.ini"
     config.write_text(FAST_TRAIN + "delta = tiny\n")
@@ -305,20 +329,28 @@ def test_negative_seeds_exit_2_naming_the_seed(strip_config, tmp_path, capsys, c
 @pytest.mark.parametrize(
     "flags, suite_section, message",
     [
-        (["--agents", "0"], "", "agent_counts must be at least 1, got 0"),
-        (["--agents", "-1"], "", "agent_counts must be at least 1, got -1"),
-        (["--sizes", "-3"], "", "sizes must be at least 1, got -3"),
-        ([], "slip_probability = 1.5\n", "slip_probability must lie in [0, 1], got 1.5"),
-        ([], "slip_probability = nan\n", "slip_probability must lie in [0, 1], got nan"),
+        (["--agents", "0"], "", "[suite] agents must be at least 1, got 0"),
+        (["--agents", "-1"], "", "[suite] agents must be at least 1, got -1"),
+        (["--sizes", "-3"], "", "[suite] sizes must be at least 1, got -3"),
+        ([], "slip_probability = 1.5\n", "[suite] slip_probability must lie in [0, 1], got 1.5"),
+        ([], "slip_probability = nan\n", "[suite] slip_probability must lie in [0, 1], got nan"),
+        (
+            ["--algos", "dqn"],
+            "",
+            "[suite] algorithms must be among ['egt', 'astar', 'qlearning', 'montecarlo'], got ['dqn']",
+        ),
+        ([], "density = 0.5\n", "[suite] density must lie in [0, 0.4], got 0.5"),
+        ([], "eval_episodes = 0\n", "[suite] eval_episodes must be at least 1, got 0"),
     ],
-    ids=["agents-0", "agents-negative", "sizes-negative", "slip-above-1", "slip-nan"],
+    ids=["agents-0", "agents-negative", "sizes-negative", "slip-above-1", "slip-nan", "algos-unknown",
+         "density-above-0.4", "eval-episodes-0"],
 )
 def test_bench_rejects_out_of_range_suite_values(tmp_path, capsys, flags, suite_section, message):
     config = tmp_path / "suite.ini"
     config.write_text("[suite]\nsizes = 5\nagents = 1\nalgorithms = astar\n" + suite_section)
     out = tmp_path / "suite.csv"
     assert main(["bench", "--config", str(config), *flags, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
