@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .automaton import RewardParams, reach_avoid_machine, SEEKING
-from .egt import NUM_ACTIONS, TabularPolicy
+from .egt import NUM_ACTIONS, TabularPolicy, check_horizon
 from .gridworld import (
     Cell,
     COLLISION_EVENTS,
@@ -78,11 +78,10 @@ def astar(grid: GridMap, start: Cell) -> list[Cell] | None:
 
 @dataclass(frozen=True)
 class LearnerParams:
-    """Shared hyperparameters for the tabular learners."""
+    """Shared hyperparameters for the tabular learners; both discount with RewardParams.gamma."""
 
     episodes: int = 2000
     learning_rate: float = 0.1  # Q-learning only
-    gamma: float = 0.99
     epsilon_greedy: float = 0.2
     epsilon_decay: float = 0.995
     epsilon_min: float = 0.02
@@ -93,7 +92,7 @@ class LearnerParams:
             raise ConfigError("episodes must be at least 1")
         if self.mc_batch < 1:
             raise ConfigError("mc_batch must be at least 1")
-        for name in ("learning_rate", "gamma", "epsilon_greedy", "epsilon_decay", "epsilon_min"):
+        for name in ("learning_rate", "epsilon_greedy", "epsilon_decay", "epsilon_min"):
             value = getattr(self, name)
             # Also false for NaN.
             if not 0.0 <= value <= 1.0:
@@ -115,6 +114,7 @@ def _epsilon_greedy_episodes(
     of the episode.  Greedy picks take a row's first maximum, and epsilon
     decays after every episode.
     """
+    check_horizon(rewards, env_config)
     env = GridEnv(env_config)
     seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
     # Reward per event code: the collision or plain step symbol, plus the goal symbol on arrival.
@@ -152,7 +152,7 @@ def qlearning_table(
     grid = env_config.grid
     q = [[0.0] * NUM_ACTIONS for _ in range(grid.width * grid.height)]
     lr = params.learning_rate
-    gamma = params.gamma
+    gamma = rewards.gamma
     for episode in _epsilon_greedy_episodes(env_config, rewards, params, q, rng):
         for _, cell, action, reward, nxt, arrived in episode:
             target = reward if arrived else reward + gamma * max(q[nxt])
@@ -190,7 +190,7 @@ def monte_carlo_table(
     sums = [[0.0] * NUM_ACTIONS for _ in range(cells)]
     counts = [[0] * NUM_ACTIONS for _ in range(cells)]
     q = [[0.0] * NUM_ACTIONS for _ in range(cells)]
-    gamma = params.gamma
+    gamma = rewards.gamma
     touched: set[tuple[int, int]] = set()
     for done, episode in enumerate(_epsilon_greedy_episodes(env_config, rewards, params, q, rng), 1):
         steps: list[list[tuple[int, int, float]]] = [[] for _ in range(env_config.num_agents)]

@@ -61,7 +61,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         policy = result.policy
         names = ("nu", "epsilon", "alpha", "batch_size", "max_iterations", "patience")
         header.update(_echo("train", train_config, names))
-        header["train.delta"] = repr(train_config.resolved_delta())
+        header["train.delta"] = repr(train_config.delta)
         header["train.valuation"] = train_config.valuation.kind
         outcome = {
             "iterations": result.iterations,
@@ -71,7 +71,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "wall_clock_seconds": result.wall_clock_seconds,
         }
     else:
-        params = config.build_learner_params(rewards)
+        params = config.build_learner_params()
         started = time.perf_counter()
         policy = LEARNERS[algorithm](env, rewards, params, rng)
         header.update(_echo("train", params, ("episodes",)))
@@ -117,10 +117,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_genmap(args: argparse.Namespace) -> int:
-    seed = 0 if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(load_config(None, _overrides(args)).seed())
     grid = generate_map(args.width, args.height, args.density, rng)
     text = format_map(grid)
     if args.out:
@@ -172,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_genmap.add_argument("--width", type=int, required=True)
     p_genmap.add_argument("--height", type=int, required=True)
     p_genmap.add_argument("--density", type=float, default=0.1)
-    p_genmap.add_argument("--seed", type=int)
+    p_genmap.add_argument("--seed", dest="env.seed", metavar="SEED", type=int)
     p_genmap.add_argument("--out", help="map output path (stdout when omitted)")
     p_genmap.set_defaults(func=cmd_genmap)
     return parser

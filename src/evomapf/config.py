@@ -6,7 +6,7 @@ import os
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, TypeVar
 
-from .automaton import RewardParams, Valuation, discounted_sum
+from .automaton import RewardParams, Valuation
 from .baselines import LEARNERS, LearnerParams
 from .bench import SuiteConfig
 from .egt import TrainConfig
@@ -112,16 +112,17 @@ class RunConfig:
 
     def build_train(self, env: EnvConfig, rewards: RewardParams) -> TrainConfig:
         kind = self.get("train", "valuation", "discounted_sum")
-        valuation = discounted_sum(rewards.gamma) if kind == "discounted_sum" else Valuation(kind)
+        # None: TrainConfig discounts with rewards.gamma.
+        valuation = None if kind == "discounted_sum" else Valuation(kind)
         return self._build("train", TrainConfig, env=env, rewards=rewards, valuation=valuation)
 
-    def build_learner_params(self, rewards: RewardParams) -> LearnerParams:
-        return self._build("train", LearnerParams, gamma=rewards.gamma)
+    def build_learner_params(self) -> LearnerParams:
+        return self._build("train", LearnerParams)
 
     def build_suite(self) -> SuiteConfig:
-        suite = self.values.get("suite", {})
-        if "sizes" not in suite or "agents" not in suite:
-            raise ConfigError("[suite]: both sizes and agents are required")
+        for key in ("sizes", "agents"):
+            if self.get("suite", key) is None:
+                raise ConfigError(f"[suite] {key} is required (--{key})")
         return self._build("suite", SuiteConfig, seed=self.seed())
 
 

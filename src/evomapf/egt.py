@@ -232,11 +232,22 @@ def mix_with_uniform(policy: TabularPolicy, weight: float) -> TabularPolicy:
     return policy._like(probs)
 
 
+def check_horizon(rewards: RewardParams, env: EnvConfig) -> None:
+    """Reject rewards whose horizon is not the one the episodes run for: b >= c > a*T needs that T."""
+    if rewards.horizon != env.horizon:
+        raise ConfigError(
+            f"rewards.horizon {rewards.horizon} must equal env.horizon {env.horizon}, "
+            "the T for which b >= c > a*T holds"
+        )
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Replicator settings; rewards, valuation and delta are resolved once, for env's horizon."""
+
     env: EnvConfig
     rewards: RewardParams | None = None  # None: defaults derived from the horizon
-    valuation: Valuation = discounted_sum(0.99)
+    valuation: Valuation | None = None  # None: discounted_sum(rewards.gamma)
     nu: float = 0.05  # uniform-mixing decay per iteration
     epsilon: float = 0.05  # uniform-mixing floor
     delta: float | None = None  # None: 1% of num_agents * goal_reward
@@ -260,16 +271,18 @@ class TrainConfig:
             raise ConfigError("patience must be at least 1")
         if self.delta is not None and not 0.0 < self.delta < math.inf:
             raise ConfigError(f"delta must be positive and finite, got {self.delta!r}")
-
-    def resolved_rewards(self) -> RewardParams:
-        if self.rewards is not None:
-            return self.rewards
-        return RewardParams.default_for(self.env.horizon)
-
-    def resolved_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
-        return 0.01 * self.env.num_agents * self.resolved_rewards().goal_reward
+        rewards = self.rewards or RewardParams.default_for(self.env.horizon)
+        check_horizon(rewards, self.env)
+        valuation = self.valuation or discounted_sum(rewards.gamma)
+        if valuation.kind == "discounted_sum" and valuation.gamma != rewards.gamma:
+            raise ConfigError(
+                f"valuation gamma {valuation.gamma!r} must equal rewards.gamma {rewards.gamma!r}, "
+                "the one discount of EGT and the learners"
+            )
+        object.__setattr__(self, "rewards", rewards)
+        object.__setattr__(self, "valuation", valuation)
+        if self.delta is None:
+            object.__setattr__(self, "delta", 0.01 * self.env.num_agents * rewards.goal_reward)
 
 
 @dataclass
@@ -293,8 +306,7 @@ def train(config: TrainConfig, rng: np.random.Generator) -> TrainReport:
     """
     started = time.perf_counter()
     env = GridEnv(config.env)
-    machine = reach_avoid_machine(config.resolved_rewards())
-    delta = config.resolved_delta()
+    machine = reach_avoid_machine(config.rewards)
     policy = TabularPolicy.uniform(config.env.grid)
     mix_weight = 1.0
     batch_returns: list[float] = []
@@ -308,7 +320,7 @@ def train(config: TrainConfig, rng: np.random.Generator) -> TrainReport:
         eta = batch.expected_return
         batch_returns.append(eta)
         iterations += 1
-        if eta - best >= delta:
+        if eta - best >= config.delta:
             best = eta
             strikes = 0
         else:
@@ -330,21 +342,6 @@ def train(config: TrainConfig, rng: np.random.Generator) -> TrainReport:
         final_mix_weight=mix_weight,
         config=config,
     )
-
-
-def expected_return(
-    policy: TabularPolicy,
-    env_config: EnvConfig,
-    rewards: RewardParams,
-    valuation: Valuation,
-    episodes: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte-Carlo estimate of the mean per-episode total return."""
-    env = GridEnv(env_config)
-    machine = reach_avoid_machine(rewards)
-    batch = sample_batch(policy, env, machine, valuation, episodes, rng)
-    return batch.expected_return
 
 
 POLICY_MAGIC = "# evomapf policy v1"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -121,11 +123,11 @@ def test_qlearning_walks_the_strip_right():
 
 
 def test_qlearning_with_zero_discount_credits_only_arrivals():
-    rewards = RewardParams(step_penalty=0.0, goal_reward=1.0, collision_penalty=1e-9, horizon=6)
+    rewards = RewardParams(step_penalty=0.0, goal_reward=1.0, collision_penalty=1e-9, horizon=6, gamma=0.0)
     q = qlearning_table(
         EnvConfig(grid=STRIP, horizon=6),
         rewards,
-        LearnerParams(episodes=500, gamma=0.0),
+        LearnerParams(episodes=500),
         np.random.default_rng(0),
     )
     assert q[0, 3, Action.RIGHT] == pytest.approx(1.0, abs=1e-6)
@@ -165,12 +167,12 @@ def test_monte_carlo_single_episode_is_the_first_visit_return():
     # One agent pinned to one start, greedy over a zero table: it bumps the
     # top wall every step, so the only learned entry is the t=0 return-to-go.
     grid = parse_map("S.G\n")
-    rewards = RewardParams(step_penalty=1.0, goal_reward=10.0, collision_penalty=10.0, horizon=4)
     gamma = 0.9
+    rewards = RewardParams(step_penalty=1.0, goal_reward=10.0, collision_penalty=10.0, horizon=4, gamma=gamma)
     q = monte_carlo_table(
         EnvConfig(grid=grid, horizon=4),
         rewards,
-        LearnerParams(episodes=1, mc_batch=1, epsilon_greedy=0.0, epsilon_min=0.0, gamma=gamma),
+        LearnerParams(episodes=1, mc_batch=1, epsilon_greedy=0.0, epsilon_min=0.0),
         np.random.default_rng(0),
     )
     step_reward = -1.0 - 10.0  # every step bumps the wall
@@ -206,7 +208,6 @@ def test_learners_leave_the_table_at_zero_when_every_agent_starts_on_a_goal():
         ("episodes", 0),
         ("mc_batch", 0),
         ("learning_rate", 1.5),
-        ("gamma", float("nan")),
         ("epsilon_greedy", -0.1),
         ("epsilon_decay", float("inf")),
         ("epsilon_min", float("nan")),
@@ -217,24 +218,59 @@ def test_learner_params_reject_out_of_range_values(field, value):
         LearnerParams(**{field: value})
 
 
+@pytest.mark.parametrize("learner", [qlearning_table, monte_carlo_table])
+def test_learners_reject_rewards_for_another_horizon(learner):
+    with pytest.raises(ConfigError, match=r"^rewards.horizon 6 must equal env.horizon 9, "):
+        learner(EnvConfig(grid=STRIP, horizon=9), STRIP_REWARDS, LearnerParams(episodes=5), np.random.default_rng(0))
+
+
+def test_learners_discount_with_the_rewards_gamma():
+    assert "gamma" not in {field.name for field in fields(LearnerParams)}
+    # Q-learning bootstraps one step: Q(3, RIGHT) = 60 - 1, so Q(2, RIGHT) tends to -1 + gamma * 59.
+    for gamma in (0.5, 0.9):
+        rewards = replace(STRIP_REWARDS, gamma=gamma)
+        q = qlearning_table(EnvConfig(grid=STRIP, horizon=6), rewards, LearnerParams(episodes=500),
+                            np.random.default_rng(0))
+        assert q[0, 2, Action.RIGHT] == pytest.approx(-1.0 + gamma * 59.0, rel=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # both learners against the planner
 
 
-def test_learners_reach_astar_lengths_on_an_open_grid():
+def astar_length_rate(learner, params, seeds) -> float:
+    """Share of (seed, start) pairs on an open 4x4 grid whose greedy rollout takes the A* length.
+
+    Seed s trains on default_rng([s, 77]); every start is then rolled greedily.
+    """
     grid = empty_grid_with_goal(4, 4, Cell(3, 3))
     env_config = EnvConfig(grid=grid, horizon=16)
-    rng = np.random.default_rng(1)
-    subjects = {
-        "qlearning": qlearning_train(env_config, RewardParams.default_for(16), LearnerParams(episodes=2000), rng),
-        "montecarlo": monte_carlo_train(env_config, RewardParams.default_for(16), LearnerParams(episodes=4000), rng),
-    }
-    for name, policy in subjects.items():
+    starts = sorted(grid.starts)
+    hits = 0
+    for seed in seeds:
+        policy = learner(env_config, RewardParams.default_for(16), params, np.random.default_rng([seed, 77]))
         assert isinstance(policy, TabularPolicy)
-        for start in sorted(grid.starts):
-            optimal = len(astar(grid, start)) - 1
-            took = greedy_rollout_length(policy, grid, start, horizon=16)
-            assert took == optimal, (name, start)
+        hits += sum(greedy_rollout_length(policy, grid, s, 16) == len(astar(grid, s)) - 1 for s in starts)
+    return hits / (len(seeds) * len(starts))
+
+
+# Per learner: training episodes and the least pass rate over seeds 0-19.  Over
+# seeds 0-39 Q-learning scored 0.963 and Monte-Carlo 0.758, with standard errors
+# of a 20-seed mean of 0.012 and 0.033; each bound sits about five of them lower.
+ASTAR_RATES = {qlearning_train: (2000, 0.90), monte_carlo_train: (4000, 0.60)}
+
+
+def test_learners_reach_astar_lengths_on_an_open_grid():
+    for learner, (episodes, least) in ASTAR_RATES.items():
+        rate = astar_length_rate(learner, LearnerParams(episodes=episodes), range(20))
+        assert rate >= least, (learner.__name__, rate)
+
+
+def test_a_learner_without_updates_misses_the_astar_rate():
+    # A zero learning rate leaves Q at zero, so the greedy policy always moves up,
+    # however many episodes it plays.
+    params = LearnerParams(episodes=1, learning_rate=0.0)
+    assert astar_length_rate(qlearning_train, params, range(20)) < ASTAR_RATES[qlearning_train][1]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +324,7 @@ def reference_tables(env_config, rewards, params, rng):
                 reward = reward_of(events[i])
                 nxt = after[i].cell
                 if events[i] is not StepEvent.REACHED_GOAL:
-                    reward += params.gamma * q_learned[nxt.y, nxt.x].max()
+                    reward += rewards.gamma * q_learned[nxt.y, nxt.x].max()
                 cell = (st.cell.y, st.cell.x, actions[i])
                 q_learned[cell] += params.learning_rate * (reward - q_learned[cell])
 
@@ -302,7 +338,7 @@ def reference_tables(env_config, rewards, params, rng):
         for agent_steps in steps:
             returns, ret = [], 0.0
             for _, reward in reversed(agent_steps):
-                ret = reward + params.gamma * ret
+                ret = reward + rewards.gamma * ret
                 returns.append(ret)
             returns.reverse()
             first_visit = {}

@@ -311,7 +311,7 @@ def test_train_subject_astar_needs_no_training():
 def test_train_subject_egt_budget_sets_the_iteration_count():
     grid = parse_map("...G\n....\n")
     subject, _ = train_subject(
-        "egt", EnvConfig(grid=grid), RewardParams.default_for(16), 128, np.random.default_rng(0)
+        "egt", EnvConfig(grid=grid), RewardParams.default_for(12), 128, np.random.default_rng(0)
     )
     assert isinstance(subject, TabularPolicy)
     # The returned policy is greedy: one-hot rows.

@@ -162,14 +162,6 @@ def test_unknown_key_and_section_are_rejected(tmp_path, capsys):
     assert "unknown section [environment]" in capsys.readouterr().err
 
 
-def test_montecarlo_with_an_empty_batch_exits_2(strip_config, tmp_path, capsys):
-    config = tmp_path / "mc.ini"
-    config.write_text(FAST_TRAIN + "mc_batch = 0\n")
-    out = str(tmp_path / "p")
-    assert main(["train", "--config", str(config), "--algorithm", "montecarlo", "--out", out]) == 2
-    assert "mc_batch must be at least 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "algorithm, text, message",
     [
@@ -350,6 +342,22 @@ def test_bench_rejects_out_of_range_suite_values(tmp_path, capsys, flags, suite_
     config.write_text("[suite]\nsizes = 5\nagents = 1\nalgorithms = astar\n" + suite_section)
     out = tmp_path / "suite.csv"
     assert main(["bench", "--config", str(config), *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sizes", "5"], "[suite] agents is required (--agents)"),
+        (["--agents", "1"], "[suite] sizes is required (--sizes)"),
+        ([], "[suite] sizes is required (--sizes)"),
+    ],
+    ids=["agents", "sizes", "both"],
+)
+def test_bench_names_a_missing_list_and_its_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "suite.csv"
+    assert main(["bench", *flags, "--algos", "astar", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

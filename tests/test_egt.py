@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from evomapf.egt import (
     TabularPolicy,
     TrainConfig,
     estimate_fitness,
-    expected_return,
     load_policy,
     mix_with_uniform,
     replicator_update,
@@ -499,7 +498,7 @@ def test_training_is_bit_identical_to_the_scalar_path(monkeypatch):
     grid = parse_map("....#\n.#..G\n..#..\nG....\n")
     config = TrainConfig(
         env=EnvConfig(grid=grid, num_agents=3, horizon=16),
-        valuation=discounted_sum(0.97),
+        rewards=replace(RewardParams.default_for(16), gamma=0.97),
         batch_size=64,
         max_iterations=10,
         patience=11,
@@ -565,35 +564,27 @@ def test_slipping_rollouts_match_run_episode_in_distribution():
 # expected return
 
 
+def batch_return(policy, env_config, rewards, episodes) -> float:
+    machine = reach_avoid_machine(rewards)
+    return sample_batch(policy, GridEnv(env_config), machine, SUM, episodes, np.random.default_rng(0)).expected_return
+
+
 def test_stay_forever_pays_a_step_penalty_per_timestep():
     policy = single_action_policy(STRIP, Action.STAY)
-    value = expected_return(
-        policy, EnvConfig(grid=STRIP, horizon=6), STRIP_REWARDS, SUM, 4, np.random.default_rng(0)
-    )
-    assert value == -6.0
+    assert batch_return(policy, EnvConfig(grid=STRIP, horizon=6), STRIP_REWARDS, 4) == -6.0
 
 
 def test_starting_on_the_goal_pays_the_goal_reward():
     grid = parse_map("G\n")
     rewards = RewardParams(step_penalty=1.0, goal_reward=40.0, collision_penalty=40.0, horizon=4)
-    value = expected_return(
-        TabularPolicy.uniform(grid), EnvConfig(grid=grid), rewards, SUM, 3, np.random.default_rng(0)
-    )
-    assert value == 40.0
+    assert batch_return(TabularPolicy.uniform(grid), EnvConfig(grid=grid), rewards, 3) == 40.0
 
 
 def test_two_agents_on_goals_pay_twice_the_goal_reward():
     grid = parse_map("GG\n")
-    rewards = RewardParams(step_penalty=1.0, goal_reward=40.0, collision_penalty=40.0, horizon=8)
-    value = expected_return(
-        TabularPolicy.uniform(grid),
-        EnvConfig(grid=grid, num_agents=2),
-        rewards,
-        SUM,
-        3,
-        np.random.default_rng(0),
-    )
-    assert value == 80.0
+    rewards = RewardParams(step_penalty=1.0, goal_reward=40.0, collision_penalty=40.0, horizon=6)
+    env_config = EnvConfig(grid=grid, num_agents=2)
+    assert batch_return(TabularPolicy.uniform(grid), env_config, rewards, 3) == 80.0
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +612,30 @@ def test_train_config_rejects_a_non_finite_delta():
 
 def test_train_config_defaults_resolve_from_the_environment():
     config = TrainConfig(env=EnvConfig(grid=STRIP, horizon=6))
-    rewards = config.resolved_rewards()
-    assert rewards.goal_reward == rewards.collision_penalty == 60.0
-    assert config.resolved_delta() == pytest.approx(0.01 * 1 * 60.0)
-    assert TrainConfig(env=EnvConfig(grid=STRIP, horizon=6), delta=2.0).resolved_delta() == 2.0
+    assert config.rewards == RewardParams.default_for(6)
+    assert config.rewards.goal_reward == config.rewards.collision_penalty == 60.0
+    assert config.valuation == discounted_sum(config.rewards.gamma)
+    assert config.delta == pytest.approx(0.01 * 1 * 60.0)
+    assert TrainConfig(env=EnvConfig(grid=STRIP, horizon=6), delta=2.0).delta == 2.0
+    # The valuation's default discount is the given rewards' gamma.
+    rewards = replace(STRIP_REWARDS, gamma=0.9)
+    assert TrainConfig(env=EnvConfig(grid=STRIP, horizon=6), rewards=rewards).valuation == discounted_sum(0.9)
+
+
+def test_train_config_rejects_rewards_for_another_horizon():
+    with pytest.raises(ConfigError, match=r"^rewards.horizon 6 must equal env.horizon 8, "):
+        TrainConfig(env=EnvConfig(grid=STRIP, horizon=8), rewards=STRIP_REWARDS)
+
+
+def test_train_config_rejects_a_second_discount():
+    env = EnvConfig(grid=STRIP, horizon=6)
+    with pytest.raises(ConfigError, match=r"^valuation gamma 0\.97 must equal rewards.gamma 0\.99, "):
+        TrainConfig(env=env, valuation=discounted_sum(0.97))
+    with pytest.raises(ConfigError, match=r"^valuation gamma 0\.99 must equal rewards.gamma 0\.9, "):
+        TrainConfig(env=env, rewards=replace(STRIP_REWARDS, gamma=0.9), valuation=discounted_sum(0.99))
+    # Undiscounted valuations carry no discount to disagree with.
+    assert TrainConfig(env=env, valuation=SUM).valuation == SUM
+    assert TrainConfig(env=env, valuation=AVG).valuation == AVG
 
 
 def test_train_stops_quickly_when_everyone_starts_on_a_goal():
