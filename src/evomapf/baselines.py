@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .automaton import RewardParams, reach_avoid_machine, SEEKING
 from .egt import NUM_ACTIONS, TabularPolicy, check_horizon
 from .gridworld import (
+    BatchRollout,
     Cell,
     COLLISION_EVENTS,
     ConfigError,
@@ -23,6 +23,7 @@ from .gridworld import (
     GridMap,
     STEP_EVENTS,
     episode_steps,
+    roll_batch,
     _INACTIVE,
     _REACHED,
 )
@@ -99,43 +100,12 @@ class LearnerParams:
                 raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
 
 
-def _epsilon_greedy_episodes(
-    env_config: EnvConfig,
-    rewards: RewardParams,
-    params: LearnerParams,
-    q: list[list[float]],
-    rng: np.random.Generator,
-) -> Iterator[Iterator[tuple[int, int, int, float, int, bool]]]:
-    """Play params.episodes epsilon-greedy episodes over q, one row per flat cell.
-
-    Each episode is an iterator over the (agent, cell, action, reward,
-    next_cell, arrived) transitions of its active agents, in step and
-    agent order.  Actions are drawn lazily, so updates to q steer the rest
-    of the episode.  Greedy picks take a row's first maximum, and epsilon
-    decays after every episode.
-    """
-    check_horizon(rewards, env_config)
-    env = GridEnv(env_config)
+def _step_rewards(rewards: RewardParams) -> list[float]:
+    """Reward per event code: the collision or plain step symbol, plus the goal symbol on arrival."""
     seeking = reach_avoid_machine(rewards).weight[SEEKING].tolist()
-    # Reward per event code: the collision or plain step symbol, plus the goal symbol on arrival.
     step_reward = [seeking[1] if ev in COLLISION_EVENTS else seeking[0] for ev in STEP_EVENTS]
     step_reward[_REACHED] += seeking[2]
-    epsilon = params.epsilon_greedy
-
-    def choose(agent: int, cell: int) -> int:
-        if rng.random() < epsilon:
-            return int(rng.integers(NUM_ACTIONS))
-        row = q[cell]
-        return row.index(max(row))
-
-    for _ in range(params.episodes):
-        yield (
-            (i, c, a, step_reward[ev], f, ev == _REACHED)
-            for pre, actions, final, events in episode_steps(env, env.reset(rng), choose, rng)
-            for i, (c, a, f, ev) in enumerate(zip(pre, actions, final, events))
-            if ev != _INACTIVE
-        )
-        epsilon = max(params.epsilon_min, epsilon * params.epsilon_decay)
+    return step_reward
 
 
 def qlearning_table(
@@ -146,18 +116,35 @@ def qlearning_table(
 ) -> np.ndarray:
     """Tabular Q-learning on the shared table; returns the (H, W, A) Q-values.
 
-    Every agent feeds transitions into one Q-table keyed by its own cell.
-    The arriving transition is treated as terminal for bootstrapping.
+    Every agent of params.episodes epsilon-greedy episodes feeds its
+    transitions, in step and agent order, into one Q-table (a Python row
+    per flat cell) keyed by its own cell, so updates steer the rest of
+    the episode.  Greedy picks take a row's first maximum, epsilon decays
+    after every episode, and arrival is terminal for bootstrapping.
     """
+    check_horizon(rewards, env_config)
+    env = GridEnv(env_config)
     grid = env_config.grid
     q = [[0.0] * NUM_ACTIONS for _ in range(grid.width * grid.height)]
-    lr = params.learning_rate
-    gamma = rewards.gamma
-    for episode in _epsilon_greedy_episodes(env_config, rewards, params, q, rng):
-        for _, cell, action, reward, nxt, arrived in episode:
-            target = reward if arrived else reward + gamma * max(q[nxt])
-            row = q[cell]
-            row[action] += lr * (target - row[action])
+    step_reward = _step_rewards(rewards)
+    lr, gamma, epsilon = params.learning_rate, rewards.gamma, params.epsilon_greedy
+
+    def choose(agent: int, cell: int) -> int:
+        if rng.random() < epsilon:
+            return int(rng.integers(NUM_ACTIONS))
+        row = q[cell]
+        return row.index(max(row))
+
+    for _ in range(params.episodes):
+        for pre, actions, final, events in episode_steps(env, env.reset(rng), choose, rng):
+            for cell, action, nxt, ev in zip(pre, actions, final, events):
+                if ev == _INACTIVE:
+                    continue
+                reward = step_reward[ev]
+                target = reward if ev == _REACHED else reward + gamma * max(q[nxt])
+                row = q[cell]
+                row[action] += lr * (target - row[action])
+        epsilon = max(params.epsilon_min, epsilon * params.epsilon_decay)
     return np.array(q).reshape(grid.height, grid.width, NUM_ACTIONS)
 
 
@@ -181,38 +168,60 @@ def monte_carlo_table(
 ) -> np.ndarray:
     """First-visit Monte-Carlo control on the shared table; returns the (H, W, A) Q-values.
 
-    Rolls episodes with an epsilon-greedy behavior policy, averages
-    first-visit discounted returns-to-go per (cell, action) across the
-    trajectories of every agent, and acts greedily on the running means.
+    Q is frozen within each batch of mc_batch episodes, so a batch is one
+    roll_batch call under the epsilon-greedy table: each episode explores
+    with its own epsilon, which decays after every episode, and is
+    otherwise greedy (a row's first maximum).  Q is the running mean of
+    the first-visit returns that credit_first_visits adds up.
     """
+    check_horizon(rewards, env_config)
+    env = GridEnv(env_config)
     grid = env_config.grid
-    cells = grid.width * grid.height
-    sums = [[0.0] * NUM_ACTIONS for _ in range(cells)]
-    counts = [[0] * NUM_ACTIONS for _ in range(cells)]
-    q = [[0.0] * NUM_ACTIONS for _ in range(cells)]
-    gamma = rewards.gamma
-    touched: set[tuple[int, int]] = set()
-    for done, episode in enumerate(_epsilon_greedy_episodes(env_config, rewards, params, q, rng), 1):
-        steps: list[list[tuple[int, int, float]]] = [[] for _ in range(env_config.num_agents)]
-        for agent, cell, action, reward, _, _ in episode:
-            steps[agent].append((cell, action, reward))
-        for agent_steps in steps:
-            # Walking back from the end, the last return written per pair is its first visit's.
-            ret = 0.0
-            first_return: dict[tuple[int, int], float] = {}
-            for cell, action, reward in reversed(agent_steps):
-                ret = reward + gamma * ret
-                first_return[cell, action] = ret
-            for (cell, action), ret in first_return.items():
-                sums[cell][action] += ret
-                counts[cell][action] += 1
-            touched.update(first_return)
-        # Q is frozen within a batch of mc_batch episodes.
-        if done % params.mc_batch == 0 or done == params.episodes:
-            for cell, action in touched:
-                q[cell][action] = sums[cell][action] / counts[cell][action]
-            touched.clear()
-    return np.array(q).reshape(grid.height, grid.width, NUM_ACTIONS)
+    step_reward = np.array(_step_rewards(rewards))
+    q = np.zeros((grid.width * grid.height, NUM_ACTIONS))
+    sums, counts = np.zeros(q.size), np.zeros(q.size, dtype=np.int64)
+    epsilons = [params.epsilon_greedy]
+    for _ in range(params.episodes - 1):
+        epsilons.append(max(params.epsilon_min, epsilons[-1] * params.epsilon_decay))
+    for first in range(0, params.episodes, params.mc_batch):
+        mix = np.array(epsilons[first : first + params.mc_batch])
+        # The greedy table's cumulative distribution: 0 before each row's first maximum, 1 from it on.
+        greedy = (np.arange(NUM_ACTIONS) >= q.argmax(axis=1)[:, None]).astype(float)
+        seeds = rng.integers(0, 2**63 - 1, size=len(mix))
+        credit_first_visits(roll_batch(env, greedy, seeds, mix), step_reward, rewards.gamma, sums, counts)
+        seen = counts > 0
+        q.reshape(-1)[seen] = sums[seen] / counts[seen]
+    return q.reshape(grid.height, grid.width, NUM_ACTIONS)
+
+
+def credit_first_visits(
+    rolled: BatchRollout, step_reward: np.ndarray, gamma: float, sums: np.ndarray, counts: np.ndarray
+) -> None:
+    """Add each trajectory's first-visit returns to the flat (cell * 5 + action) sums and counts.
+
+    step_reward holds the reward of each event code.  Returns-to-go walk
+    back from each trajectory's last step, ret = reward + gamma * ret, as
+    a loop over one trajectory would.  Each distinct (trajectory, cell,
+    action) key takes the return of its earliest step, and np.add.at adds
+    the keys in trajectory order, so every sum adds its returns in
+    (episode, agent) order, one at a time.
+    """
+    episodes, agents, span = rolled.actions.shape
+    taken = np.arange(span) < rolled.lengths[:, :, None]
+    reward = np.where(taken, step_reward[rolled.events], 0.0)
+    returns = np.empty_like(reward)
+    ret = np.zeros((episodes, agents))
+    for t in range(span - 1, -1, -1):
+        ret = reward[:, :, t] + gamma * ret
+        returns[:, :, t] = ret
+    # Agent i of episode b is trajectory b * agents + i; action t was taken in cell t.
+    owner = np.arange(episodes * agents).reshape(episodes, agents, 1)
+    keys = (owner * sums.size + rolled.cells[:, :, :-1] * NUM_ACTIONS + rolled.actions)[taken]
+    # np.unique sorts by trajectory first, and its index is each key's earliest step.
+    distinct, earliest = np.unique(keys, return_index=True)
+    slot = distinct % sums.size
+    np.add.at(sums, slot, returns[taken][earliest])
+    np.add.at(counts, slot, 1)
 
 
 def monte_carlo_train(

@@ -19,7 +19,6 @@ from .baselines import LEARNERS, LearnerParams, astar
 from .egt import TabularPolicy, TrainConfig, train
 from .gridworld import (
     ACTION_DELTAS,
-    ACTION_NAMES,
     Action,
     Cell,
     CONFLICT_EVENTS,
@@ -74,6 +73,7 @@ def obstacle_distance(cells: list[Cell], grid: GridMap, field: np.ndarray | None
 class Metrics:
     success_rate: float
     mean_timesteps: float | None  # over agent-episodes that reached a goal
+    mean_cost: float  # over all agent-episodes: the arrival time, or the horizon T for a failure
     obstacle_distance: float | None  # mean over agent-episodes of min clearance
     collisions_per_episode: float  # vertex + swap conflict events
     train_seconds: float
@@ -173,6 +173,7 @@ def evaluate(
     return Metrics(
         success_rate=successes / agent_episodes,
         mean_timesteps=float(np.mean(arrivals)) if arrivals else None,
+        mean_cost=(sum(arrivals) + (agent_episodes - successes) * env_config.horizon) / agent_episodes,
         obstacle_distance=float(np.mean(clearances)) if clearances else None,
         collisions_per_episode=conflicts / episodes,
         train_seconds=0.0,
@@ -286,6 +287,7 @@ class SuiteConfig:
 METRIC_FORMATS = (
     ("success_rate", ".6f"),
     ("mean_timesteps", ".6f"),
+    ("mean_cost", ".6f"),
     ("obstacle_distance", ".6f"),
     ("train_seconds", ".3f"),
     ("eval_seconds", ".3f"),
@@ -401,7 +403,7 @@ def write_trajectory_log(
                 for t, w in enumerate(weights):
                     if t < len(traj.actions):
                         cell = traj.cells[t]
-                        action = ACTION_NAMES[traj.actions[t]]
+                        action = traj.actions[t].name.lower()
                         event = traj.events[t].value
                     else:
                         cell = traj.cells[-1]

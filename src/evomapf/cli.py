@@ -94,7 +94,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     metrics = evaluate(policy, env, args.episodes, rng)
     size = max(env.grid.width, env.grid.height)
     row = metrics_row(meta.get("train.algorithm", "policy"), size, env.num_agents, seed, metrics)
-    for name in ("success_rate", "mean_timesteps", "obstacle_distance", "collisions_per_episode", "eval_seconds"):
+    for name in ("success_rate", "mean_timesteps", "mean_cost", "obstacle_distance", "collisions_per_episode",
+                 "eval_seconds"):
         print(f"{name:<24}{row[name]}")
     if args.out:
         header = {**_echo_env(config, env), "eval.episodes": str(args.episodes), "eval.policy": args.policy}

@@ -9,16 +9,16 @@ goal cell despawns at the end of that step.
 Both steppers work on flat cell indices (y * width + x) through one
 (cells x 5) move table and emit STEP_EVENTS codes.  `GridEnv.advance`
 steps one episode's agents; `episode_steps` plays one episode on it under
-any action choice, and `run_episode`, the A* replay and the tabular
-learners all run on that.  `roll_batch` rolls many episodes at once with
-the same rules and random draws.  `GridEnv.step` is the same kernel on
-`AgentStatus`/`Cell` values.
+any action choice, and `run_episode`, the A* replay and Q-learning all
+run on that.  `roll_batch` rolls many episodes at once with the same
+rules and random draws, for training and Monte-Carlo.  `GridEnv.step` is
+the same kernel on `AgentStatus`/`Cell` values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable, Iterator, NamedTuple
+from typing import AbstractSet, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,14 +47,6 @@ ACTION_DELTAS: dict[Action, tuple[int, int]] = {
 
 ACTIONS: tuple[Action, ...] = tuple(Action)
 MOVE_ACTIONS: tuple[Action, ...] = (Action.UP, Action.DOWN, Action.LEFT, Action.RIGHT)
-
-ACTION_NAMES: dict[Action, str] = {
-    Action.UP: "up",
-    Action.DOWN: "down",
-    Action.LEFT: "left",
-    Action.RIGHT: "right",
-    Action.STAY: "stay",
-}
 
 
 class StepEvent(Enum):
@@ -160,36 +152,25 @@ def parse_map(text: str) -> GridMap:
                 starts.add(Cell(x, y))
     if not goals:
         raise MapParseError("map has no goal cell ('G')")
-    if not starts:
-        starts = {
-            Cell(x, y)
-            for y in range(len(lines))
-            for x in range(width)
-            if Cell(x, y) not in obstacles and Cell(x, y) not in goals
-        }
-        if not starts:
-            # Degenerate all-goal map: agents may start on goals.
-            starts = set(goals)
     return GridMap(
         width=width,
         height=len(lines),
         obstacles=frozenset(obstacles),
         goals=frozenset(goals),
-        starts=frozenset(starts),
+        starts=frozenset(starts or _implicit_starts(width, len(lines), obstacles, goals)),
     )
+
+
+def _implicit_starts(
+    width: int, height: int, obstacles: AbstractSet[Cell], goals: AbstractSet[Cell]
+) -> set[Cell]:
+    """Every free non-goal cell; on a map of goals only, the goals (agents may start on goals)."""
+    return {Cell(x, y) for y in range(height) for x in range(width)} - obstacles - goals or set(goals)
 
 
 def format_map(grid: GridMap) -> str:
     """Inverse of parse_map; emits 'S' only where starts differ from the implicit rule."""
-    implicit = {
-        Cell(x, y)
-        for y in range(grid.height)
-        for x in range(grid.width)
-        if Cell(x, y) not in grid.obstacles and Cell(x, y) not in grid.goals
-    }
-    if not implicit:
-        implicit = set(grid.goals)
-    mark_starts = grid.starts != frozenset(implicit)
+    mark_starts = grid.starts != _implicit_starts(grid.width, grid.height, grid.obstacles, grid.goals)
     rows = []
     for y in range(grid.height):
         row = []
@@ -555,11 +536,15 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(keys)) - first, np.searchsorted(keys, keys, side="right") - first
 
 
-def roll_batch(env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray) -> BatchRollout:
+def roll_batch(
+    env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray, mix: np.ndarray | None = None
+) -> BatchRollout:
     """Roll one episode per seed, all at once, under a shared tabular policy.
 
     cumulative is the policy's cumulative action distribution per flat
-    cell, shape (cells, 5), each row non-decreasing.  Episode k replays
+    cell, shape (cells, 5), each row non-decreasing.  With mix, episode k
+    acts on the blend (1 - mix[k]) * cumulative + mix[k] * uniform, so
+    each episode can explore on its own weight.  Episode k replays
     what run_episode does on default_rng(seeds[k]): the same reset draw,
     then one uniform per active agent and step, taken in agent order, and
     the action is the number of cumulative entries at or below it (the
@@ -610,6 +595,7 @@ def roll_batch(env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray) -> Batch
     # The action is the first whose cumulative mass exceeds u; STAY takes the rest.
     bounds = np.array(cumulative, dtype=float)
     bounds[:, Action.STAY] = np.inf
+    uniform = np.arange(1, len(ACTIONS)) / len(ACTIONS)  # the uniform policy's bounds but STAY's
     # The smallest integer type that holds every agent index and cell keeps the table small.
     owner = np.full(batch * num_cells, -1, dtype=np.min_scalar_type(-max(batch * n, num_cells)))
 
@@ -625,7 +611,11 @@ def roll_batch(env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray) -> Batch
     span = 0
     while span < horizon and len(pos):
         u = uniforms[draw]
-        act = (bounds.take(pos, axis=0) > u[:, None]).argmax(axis=1)
+        rows = bounds.take(pos, axis=0)
+        if mix is not None:
+            weight = mix[row // (width * n), None]
+            rows[:, : Action.STAY] = (1.0 - weight) * rows[:, : Action.STAY] + weight * uniform
+        act = (rows > u[:, None]).argmax(axis=1)
         move = act
         if slip > 0.0:
             move = np.where(slip_uniforms[draw] < slip, slip_moves[draw], act)

@@ -4,7 +4,8 @@ Everything here is written from scratch against the plain definitions
 (breadth-first search, brute-force joint-move resolution, pairwise
 batched conflict rounds, a direct scan and a guard-based automaton for
 reach-avoid scoring, per-trajectory set loops for fitness, a row-by-row
-replicator step) so that tests never check the library against itself.
+replicator step, a per-trajectory first-visit Monte-Carlo credit loop)
+so that tests never check the library against itself.
 Keep this module free of evomapf imports.
 """
 
@@ -224,3 +225,27 @@ def replicator_step(probs, action_sums, action_counts, alpha):
         probs[y, x, mask] = (1.0 - alpha) * prior + alpha * target
         probs[y, x] /= probs[y, x].sum()
     return probs
+
+
+def first_visit_credit(trajectories, gamma, sums, counts):
+    """First-visit Monte-Carlo credit, one trajectory at a time.
+
+    trajectories holds one list of (slot, reward) steps per trajectory,
+    in (episode, agent) order.  Each trajectory adds, for every distinct
+    slot it takes, the discounted return-to-go from that slot's first
+    visit to sums[slot], and 1 to counts[slot].  Returns the slots
+    touched.
+    """
+    touched = set()
+    for steps in trajectories:
+        # Walking back from the end, the last return written per slot is its first visit's.
+        ret = 0.0
+        first_return = {}
+        for slot, reward in reversed(steps):
+            ret = reward + gamma * ret
+            first_return[slot] = ret
+        for slot, ret in first_return.items():
+            sums[slot] += ret
+            counts[slot] += 1
+        touched.update(first_return)
+    return touched

@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from evomapf import bench
 from evomapf.automaton import SUM, RewardParams, reach_avoid_machine, valuate
 from evomapf.baselines import manhattan
 from evomapf.bench import (
@@ -25,7 +26,7 @@ from evomapf.bench import (
     write_csv,
     write_trajectory_log,
 )
-from evomapf.egt import TabularPolicy, load_policy, save_policy
+from evomapf.egt import TabularPolicy, TrainConfig, load_policy, save_policy, train
 from evomapf.gridworld import (
     Action,
     AgentStatus,
@@ -174,6 +175,20 @@ def test_two_plans_into_one_corridor_livelock():
     assert metrics.collisions_per_episode == 18.0  # both agents, every step
 
 
+def test_mean_cost_charges_the_horizon_for_each_failure():
+    grid = parse_map("S....\n.###.\n...G.\n")
+    planned = evaluate(AStarPlanner(), EnvConfig(grid=grid), 1, np.random.default_rng(0))
+    assert planned.mean_cost == planned.mean_timesteps == 5
+    stuck = evaluate(stay_policy(grid), EnvConfig(grid=grid, horizon=9), 3, np.random.default_rng(0))
+    assert stuck.mean_timesteps is None and stuck.mean_cost == 9.0
+    # A uniform policy on a short horizon: some agents arrive, some time out.
+    config = EnvConfig(grid=generate_map(8, 8, 0.15, np.random.default_rng([2, 8])), num_agents=2, horizon=12)
+    mixed = evaluate(TabularPolicy.uniform(config.grid), config, 40, np.random.default_rng(5))
+    assert 0.0 < mixed.success_rate < 1.0
+    want = mixed.success_rate * mixed.mean_timesteps + (1.0 - mixed.success_rate) * 12
+    assert mixed.mean_cost == pytest.approx(want)
+
+
 def test_evaluate_is_seed_deterministic():
     grid = generate_map(8, 8, 0.15, np.random.default_rng([2, 8]))
     config = EnvConfig(grid=grid, num_agents=2)
@@ -308,11 +323,19 @@ def test_train_subject_astar_needs_no_training():
     assert seconds >= 0.0
 
 
-def test_train_subject_egt_budget_sets_the_iteration_count():
+def test_train_subject_egt_budget_sets_the_iteration_count(monkeypatch):
+    configs = []
+
+    def recording_train(config, rng):
+        configs.append(config)
+        return train(config, rng)
+
+    monkeypatch.setattr(bench, "train", recording_train)
     grid = parse_map("...G\n....\n")
     subject, _ = train_subject(
         "egt", EnvConfig(grid=grid), RewardParams.default_for(12), 128, np.random.default_rng(0)
     )
+    assert [config.max_iterations for config in configs] == [128 // TrainConfig.batch_size]
     assert isinstance(subject, TabularPolicy)
     # The returned policy is greedy: one-hot rows.
     assert np.all(subject.probs.max(axis=2) == 1.0)
@@ -328,6 +351,7 @@ def test_metrics_row_formatting():
     metrics = Metrics(
         success_rate=0.5,
         mean_timesteps=None,
+        mean_cost=12.0,
         obstacle_distance=None,
         collisions_per_episode=0.25,
         train_seconds=1.23456,
@@ -338,6 +362,7 @@ def test_metrics_row_formatting():
     assert row["grid_size"] == "5" and row["num_agents"] == "2" and row["seed"] == "7"
     assert row["success_rate"] == "0.500000"
     assert row["mean_timesteps"] == "na"
+    assert row["mean_cost"] == "12.000000"
     assert row["obstacle_distance"] == "na"
     assert row["train_seconds"] == "1.235"
     assert row["eval_seconds"] == "0.500"

@@ -95,11 +95,12 @@ def test_eval_round_trip(strip_config, tmp_path, capsys):
     assert [line.split()[0] for line in lines] == [
         "success_rate",
         "mean_timesteps",
+        "mean_cost",
         "obstacle_distance",
         "collisions_per_episode",
         "eval_seconds",
     ]
-    assert lines[2].split()[1] == "na"  # strip has no obstacles
+    assert lines[3].split()[1] == "na"  # strip has no obstacles
     rows = csv_rows(out_csv)
     assert rows[0][0] == "algorithm"
     assert len(rows) == 2

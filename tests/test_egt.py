@@ -494,6 +494,26 @@ def test_batch_padding_repeats_the_last_cell_with_stay_and_inactive():
     assert np.array_equal(rolled.steps, rolled.lengths.max(axis=1))
 
 
+def test_mixed_batch_equals_run_episode_of_each_blend():
+    """With mix, episode k of roll_batch is run_episode on its seed under mix_with_uniform(policy, mix[k])."""
+    grid = parse_map("....#\n.#..G\n..#..\nG....\n")
+    env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=16))
+    policy = random_policy(grid, 2, 0.4)
+    cumulative = policy.cumulative().reshape(-1, 5)
+    mix = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 1.0] * 3)
+    seeds = np.random.default_rng(6).integers(0, 2**63 - 1, size=len(mix))
+    rolled = roll_batch(env, cumulative, seeds, mix)
+    for got, seed, weight in zip(rolled.rollouts(env), seeds, mix, strict=True):
+        want = run_episode(env, mix_with_uniform(policy, weight), np.random.default_rng(int(seed)))
+        assert got.steps == want.steps
+        for t, u in zip(got.trajectories, want.trajectories, strict=True):
+            assert (t.cells, t.actions, t.events, t.reached) == (u.cells, u.actions, u.events, u.reached)
+    unmixed = roll_batch(env, cumulative, seeds)
+    zero = roll_batch(env, cumulative, seeds, np.zeros(len(seeds)))
+    for name in ("cells", "actions", "events", "lengths", "reached", "steps"):
+        assert np.array_equal(getattr(zero, name), getattr(unmixed, name)), name
+
+
 def test_training_is_bit_identical_to_the_scalar_path(monkeypatch):
     grid = parse_map("....#\n.#..G\n..#..\nG....\n")
     config = TrainConfig(
