@@ -24,7 +24,6 @@ from .gridworld import (
     STEP_EVENTS,
     episode_steps,
     roll_batch,
-    _INACTIVE,
     _REACHED,
 )
 
@@ -129,17 +128,13 @@ def qlearning_table(
     step_reward = _step_rewards(rewards)
     lr, gamma, epsilon = params.learning_rate, rewards.gamma, params.epsilon_greedy
 
-    def choose(agent: int, cell: int) -> int:
-        if rng.random() < epsilon:
-            return int(rng.integers(NUM_ACTIONS))
-        row = q[cell]
-        return row.index(max(row))
+    def choose(agents: list[int], cells: list[int]) -> list[int]:
+        # Each explore test draws before its random action: the condition is evaluated first.
+        return [int(rng.integers(NUM_ACTIONS)) if rng.random() < epsilon else q[c].index(max(q[c])) for c in cells]
 
     for _ in range(params.episodes):
-        for pre, actions, final, events in episode_steps(env, env.reset(rng), choose, rng):
+        for _, pre, actions, final, events in episode_steps(env, env.reset(rng), choose, rng):
             for cell, action, nxt, ev in zip(pre, actions, final, events):
-                if ev == _INACTIVE:
-                    continue
                 reward = step_reward[ev]
                 target = reward if ev == _REACHED else reward + gamma * max(q[nxt])
                 row = q[cell]

@@ -60,13 +60,13 @@ def obstacle_distance_field(grid: GridMap) -> np.ndarray | None:
     return dist
 
 
-def obstacle_distance(cells: list[Cell], grid: GridMap, field: np.ndarray | None = None) -> float | None:
-    """Minimum Manhattan distance to any obstacle over the visited cells."""
+def obstacle_distance(cells: list[Cell], grid: GridMap, field: np.ndarray | list | None = None) -> float | None:
+    """Minimum Manhattan distance to any obstacle over the visited cells; field may be nested lists."""
     if not grid.obstacles:
         return None
     if field is None:
         field = obstacle_distance_field(grid)
-    return float(min(field[c.y, c.x] for c in cells))
+    return float(min(field[c.y][c.x] for c in cells))
 
 
 @dataclass
@@ -85,25 +85,22 @@ _ACTION_BY_DELTA = {delta: action for action, delta in ACTION_DELTAS.items()}
 
 
 class _PlanFollower:
-    """Replays an A* path; retries the same move after a conflict revert."""
+    """Replays an A* path; retries the same move after a conflict revert, and replans after a slip."""
 
     def __init__(self, grid: GridMap, start: Cell):
         self.grid = grid
-        self.path = astar(grid, start)
-        self.index = {cell: i for i, cell in enumerate(self.path)} if self.path else {}
+        self.plan(start)
+
+    def plan(self, cell: Cell) -> None:
+        self.path = astar(self.grid, cell) or []  # empty once no path is left: stay for good
+        self.index = {c: i for i, c in enumerate(self.path)}
 
     def next_action(self, cell: Cell) -> Action:
-        if self.path is None:
-            return Action.STAY
         i = self.index.get(cell)
-        if i is None:
-            # Slipped off the plan; replan from here.
-            self.path = astar(self.grid, cell)
-            self.index = {c: j for j, c in enumerate(self.path)} if self.path else {}
+        if i is None and self.path:
+            self.plan(cell)
             i = self.index.get(cell)
-            if i is None:
-                return Action.STAY
-        if i + 1 >= len(self.path):
+        if i is None or i + 1 >= len(self.path):
             return Action.STAY
         nxt = self.path[i + 1]
         return _ACTION_BY_DELTA[nxt.x - cell.x, nxt.y - cell.y]
@@ -113,7 +110,9 @@ def plan_rollout(env: GridEnv, rng: np.random.Generator, initial_state: JointSta
     """Plan per agent with A* at reset, then execute jointly in the environment."""
     state = env.reset(rng) if initial_state is None else initial_state
     followers = [_PlanFollower(env.grid, st.cell) for st in state]
-    return roll_episode(env, state, lambda i, c: followers[i].next_action(env.cells[c]), rng)
+    return roll_episode(
+        env, state, lambda agents, cells: [followers[i].next_action(env.cells[c]) for i, c in zip(agents, cells)], rng
+    )
 
 
 def evaluate(
@@ -147,6 +146,7 @@ def evaluate(
             )
     env = GridEnv(env_config)
     field = obstacle_distance_field(grid)
+    field = None if field is None else field.tolist()  # indexing lists is cheaper than numpy scalars
     seeds = rng.integers(0, 2**63 - 1, size=(episodes, 2))
     arrivals: list[int] = []
     clearances: list[float] = []
@@ -168,7 +168,7 @@ def evaluate(
                 arrivals.append(traj.arrival_time)
             if field is not None:
                 clearances.append(obstacle_distance(traj.cells, grid, field))
-            conflicts += sum(1 for ev in traj.events if ev in CONFLICT_EVENTS)
+            conflicts += sum(map(traj.events.count, CONFLICT_EVENTS))
     eval_seconds = time.perf_counter() - started
     return Metrics(
         success_rate=successes / agent_episodes,

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 
 from .baselines import LEARNERS
-from .bench import evaluate, generate_map, metrics_row, run_suite, write_csv
+from .bench import METRIC_FORMATS, evaluate, generate_map, metrics_row, run_suite, write_csv
 from .config import TRAINABLE_ALGORITHMS, RunConfig, load_config
 from .egt import load_policy, save_policy, train
 from .gridworld import ConfigError, EnvConfig, MapParseError, format_map
@@ -94,9 +94,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     metrics = evaluate(policy, env, args.episodes, rng)
     size = max(env.grid.width, env.grid.height)
     row = metrics_row(meta.get("train.algorithm", "policy"), size, env.num_agents, seed, metrics)
-    for name in ("success_rate", "mean_timesteps", "mean_cost", "obstacle_distance", "collisions_per_episode",
-                 "eval_seconds"):
-        print(f"{name:<24}{row[name]}")
+    for name, _ in METRIC_FORMATS:
+        if name != "train_seconds":
+            print(f"{name:<24}{row[name]}")
     if args.out:
         header = {**_echo_env(config, env), "eval.episodes": str(args.episodes), "eval.policy": args.policy}
         write_csv(args.out, [row], header)

@@ -53,7 +53,6 @@ class TabularPolicy:
         self.height = height
         self.probs = probs
         self.cells = list(cells)
-        self._cum: np.ndarray | None = None
         self._cum_rows: list | None = None
 
     @classmethod
@@ -68,17 +67,20 @@ class TabularPolicy:
         return self.probs[cell.y, cell.x]
 
     def cumulative(self) -> np.ndarray:
-        """Cumulative action probabilities per cell, shape (H, W, A); computed once."""
-        if self._cum is None:
-            self._cum = np.cumsum(self.probs, axis=2)
-        return self._cum
+        """Cumulative action probabilities per cell, shape (H, W, A)."""
+        return np.cumsum(self.probs, axis=2)
 
     def sample_action(self, cell: Cell, rng: np.random.Generator) -> Action:
+        return ACTIONS[self.sample_actions([cell.y * self.width + cell.x], rng)[0]]
+
+    def sample_actions(self, cells: list[int], rng: np.random.Generator) -> list[int]:
+        """One action per flat cell (y * width + x), on one block of uniforms taken in cell order."""
         if self._cum_rows is None:
-            self._cum_rows = self.cumulative().tolist()
-        # On a sorted row, bisect_right is np.searchsorted(row, u, side="right").
-        idx = bisect_right(self._cum_rows[cell.y][cell.x], rng.random())
-        return ACTIONS[min(idx, NUM_ACTIONS - 1)]
+            # With STAY's bound at inf, bisect_right (np.searchsorted side="right") ends at STAY at most.
+            rows = self.cumulative().reshape(-1, NUM_ACTIONS)
+            rows[:, -1] = np.inf
+            self._cum_rows = rows.tolist()
+        return list(map(bisect_right, map(self._cum_rows.__getitem__, cells), rng.random(len(cells)).tolist()))
 
     def greedy(self) -> "TabularPolicy":
         """Deterministic policy: all mass on each row's argmax (first wins ties)."""

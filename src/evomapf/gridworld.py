@@ -8,17 +8,20 @@ goal cell despawns at the end of that step.
 
 Both steppers work on flat cell indices (y * width + x) through one
 (cells x 5) move table and emit STEP_EVENTS codes.  `GridEnv.advance`
-steps one episode's agents; `episode_steps` plays one episode on it under
-any action choice, and `run_episode`, the A* replay and Q-learning all
-run on that.  `roll_batch` rolls many episodes at once with the same
-rules and random draws, for training and Monte-Carlo.  `GridEnv.step` is
-the same kernel on `AgentStatus`/`Cell` values.
+steps one episode's live agents, with revert rounds only on the cells a
+conflict touches; `episode_steps` plays one episode on it with one
+choose call per step, and `run_episode` (one block of uniforms per
+step), the A* replay and Q-learning all run on that.  `roll_batch`
+rolls many episodes at once with the same rules and random draws, for
+training and Monte-Carlo.  `GridEnv.step` is the same kernel on
+`AgentStatus`/`Cell` values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import AbstractSet, Callable, Iterator, NamedTuple
+from operator import ne
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -253,7 +256,7 @@ class GridEnv:
         self.move_blocked = ~passable & ((dx != 0) | (dy != 0))
         # The same tables as lists, for stepping one episode at a time.
         self._target = self.move_target.tolist()
-        self._blocked = self.move_blocked.tolist()
+        self._move_event = self.move_blocked.astype(int).tolist()  # MOVED 0 or BLOCKED 1
         self._goal = self.goal_mask.tolist()
 
     def index(self, cell: Cell) -> int:
@@ -265,50 +268,49 @@ class GridEnv:
         picks = rng.choice(len(starts), size=self.config.num_agents, replace=False)
         return tuple(AgentStatus(starts[int(i)]) for i in picks)
 
-    def advance(
-        self, pre: list[int], active: list[bool], actions: list[int], rng: np.random.Generator
-    ) -> tuple[list[int], list[int]]:
-        """Move the active agents one step from flat cells pre; returns their cells and event codes.
+    def advance(self, pre: list[int], actions: list[int], rng: np.random.Generator) -> tuple[list[int], list[int]]:
+        """Move the live agents one step from their distinct flat cells pre; returns their cells and event codes.
 
-        Each active agent, in agent order, may slip to a uniformly random
-        move, then moves through the move table or is blocked in place.
-        Movers that share a cell or swap cells are reverted, in rounds
-        until none is left: a revert can put an agent back in another's
-        way, and each round reverts at least one mover.  An agent keeps
+        Each agent, in order, may slip to a uniformly random move, then
+        moves through the move table or is blocked in place.  Unless the
+        targets are distinct and no mover lands on another agent's cell,
+        movers that share a cell or swap cells are reverted, in rounds
+        until none is left.  The first round checks every agent; a revert
+        makes no mover and adds an occupant only where it returns to, so
+        later rounds check only the agent headed there.  An agent keeps
         its first conflict event, and one that ends on a goal reaches it.
         """
-        target, blocked, slip = self._target, self._blocked, self.config.slip_probability
-        final = list(pre)
-        events = [_INACTIVE] * len(pre)
-        live = [i for i, a in enumerate(active) if a]
-        for i in live:
-            act = actions[i]
-            if slip > 0.0 and rng.random() < slip:
-                act = MOVE_ACTIONS[int(rng.integers(4))]
-            final[i] = target[pre[i]][act]
-            events[i] = _BLOCKED if blocked[pre[i]][act] else _MOVED
-        origin = {pre[i]: i for i in live}
-        while True:
-            shared: dict[int, int] = {}  # live agents per cell
-            for i in live:
-                shared[final[i]] = shared.get(final[i], 0) + 1
-            reverted = []
-            for i in live:
-                vertex = shared[final[i]] > 1
-                j = origin.get(final[i])  # whoever stood where i is going
-                if vertex or (j not in (None, i) and final[j] == pre[i]):
-                    if events[i] in (_MOVED, _BLOCKED):
-                        events[i] = _VERTEX if vertex else _SWAP
-                    if final[i] != pre[i]:
-                        reverted.append(i)
-            if not reverted:
-                break
-            for i in reverted:
-                final[i] = pre[i]
-        for i in live:
-            if self._goal[final[i]]:
-                events[i] = _REACHED
-        return final, events
+        target, move_event, goal, slip = self._target, self._move_event, self._goal, self.config.slip_probability
+        if slip > 0.0:
+            actions = [MOVE_ACTIONS[int(rng.integers(4))] if rng.random() < slip else a for a in actions]
+        final = [target[c][a] for c, a in zip(pre, actions)]
+        events = [move_event[c][a] for c, a in zip(pre, actions)]
+        # Distinct targets, none a start but the mover's own: no conflict.
+        if len(set(pre).union(final)) != len(pre) + sum(map(ne, final, pre)):
+            shared: dict[int, int] = {}  # agents per cell
+            for c in final:
+                shared[c] = shared.get(c, 0) + 1
+            origin = {c: i for i, c in enumerate(pre)}  # who stood where
+            entering = {f: i for i, (f, c) in enumerate(zip(final, pre)) if f != c}
+            check: Iterable[int] = range(len(pre))
+            while check:
+                reverted = []
+                for i in check:
+                    f = final[i]
+                    vertex = shared[f] > 1
+                    j = origin.get(f)
+                    if vertex or (j is not None and j != i and final[j] == pre[i]):
+                        if events[i] <= _BLOCKED:
+                            events[i] = _VERTEX if vertex else _SWAP
+                        if f != pre[i]:
+                            reverted.append(i)
+                for i in reverted:
+                    shared[final[i]] -= 1
+                    final[i] = c = pre[i]
+                    shared[c] = shared.get(c, 0) + 1
+                # A reverted agent already has its event and stays; only who heads for its cell can change.
+                check = [entering[pre[i]] for i in reverted if pre[i] in entering]
+        return final, [_REACHED if goal[c] else ev for c, ev in zip(final, events)]
 
     def step(
         self, state: JointState, actions: list[Action], rng: np.random.Generator
@@ -317,13 +319,14 @@ class GridEnv:
         n = self.config.num_agents
         if len(state) != n or len(actions) != n:
             raise ConfigError(f"expected {n} agents, got state={len(state)} actions={len(actions)}")
-        pre = [self.index(st.cell) for st in state]
-        final, events = self.advance(pre, [st.active for st in state], actions, rng)
-        new_state = tuple(
-            AgentStatus(self.cells[c], st.reached or ev == _REACHED, st.active and ev != _REACHED)
-            for st, c, ev in zip(state, final, events)
-        )
-        return new_state, [STEP_EVENTS[ev] for ev in events]
+        live = [i for i, st in enumerate(state) if st.active]
+        final, events = self.advance([self.index(state[i].cell) for i in live], [actions[i] for i in live], rng)
+        cells, codes = [st.cell for st in state], [_INACTIVE] * n
+        for i, c, ev in zip(live, final, events):
+            cells[i], codes[i] = self.cells[c], ev
+        new_state = tuple(AgentStatus(c, st.reached or ev == _REACHED, st.active and ev != _REACHED)
+                          for st, c, ev in zip(state, cells, codes))
+        return new_state, [STEP_EVENTS[ev] for ev in codes]
 
 
 @dataclass
@@ -380,59 +383,62 @@ def _trajectory(
     )
 
 
+Choose = Callable[[list[int], list[int]], list[int]]
+
+
 def episode_steps(
-    env: GridEnv, state: JointState, choose: Callable[[int, int], int], rng: np.random.Generator
-) -> Iterator[tuple[list[int], list[int], list[int], list[int]]]:
-    """Play one episode from state, yielding flat (before, actions, after, events) per step.
+    env: GridEnv, state: JointState, choose: Choose, rng: np.random.Generator
+) -> Iterator[tuple[list[int], list[int], list[int], list[int], list[int]]]:
+    """Play one episode from state, yielding (agents, before, actions, after, events) per step.
 
-    An agent inactive during a step has event INACTIVE and action STAY;
-    agents placed on a goal are done at t = 0.  choose(agent, cell) ->
-    action is called for each active agent in agent order, after the
+    A step covers the live agents only: agents holds their indices into
+    state, in order, and the other lists one flat cell, action or event
+    code each.  An agent inactive in state or placed on a goal is done at
+    t = 0, and one that reaches a goal drops out after that step.
+    choose(agents, cells) -> actions is called once per step, after the
     previous step has been yielded.  The episode ends at the horizon or
-    once no agent is active.
+    once no agent is live.
     """
-    goal = env._goal
-    pre = [env.index(st.cell) for st in state]
-    active = [st.active and not goal[c] for st, c in zip(state, pre)]
+    agents = [i for i, st in enumerate(state) if st.active and not env._goal[env.index(st.cell)]]
+    pre = [env.index(state[i].cell) for i in agents]
     for _ in range(env.config.horizon):
-        if not any(active):
+        if not agents:
             return
-        actions = [choose(i, c) if a else Action.STAY for i, (c, a) in enumerate(zip(pre, active))]
-        final, events = env.advance(pre, active, actions, rng)
-        yield pre, actions, final, events
+        actions = choose(agents, pre)
+        final, events = env.advance(pre, actions, rng)
+        yield agents, pre, actions, final, events
+        if _REACHED in events:
+            agents = [i for i, ev in zip(agents, events) if ev != _REACHED]
+            final = [c for c, ev in zip(final, events) if ev != _REACHED]
         pre = final
-        active = [a and ev != _REACHED for a, ev in zip(active, events)]
 
 
-def roll_episode(
-    env: GridEnv, state: JointState, choose: Callable[[int, int], int], rng: np.random.Generator
-) -> EpisodeRollout:
+def roll_episode(env: GridEnv, state: JointState, choose: Choose, rng: np.random.Generator) -> EpisodeRollout:
     """Record the episode_steps of one episode as an EpisodeRollout."""
     record = [([env.index(st.cell)], [], []) for st in state]  # cells, actions, events per agent
     steps = 0
-    for steps, (_, actions, after, events) in enumerate(episode_steps(env, state, choose, rng), 1):
-        for (cells, acts, evs), action, cell, event in zip(record, actions, after, events):
-            if event != _INACTIVE:
-                cells.append(cell)
-                acts.append(action)
-                evs.append(event)
+    for steps, (agents, _, actions, after, events) in enumerate(episode_steps(env, state, choose, rng), 1):
+        for i, action, cell, event in zip(agents, actions, after, events):
+            cells, acts, evs = record[i]
+            cells.append(cell)
+            acts.append(action)
+            evs.append(event)
     # Recording stops on a goal, so an agent ends on one only by reaching it.
     trajectories = [_trajectory(env, *r, env._goal[r[0][-1]]) for r in record]
     return EpisodeRollout(trajectories=trajectories, steps=steps)
 
 
 def run_episode(
-    env: GridEnv,
-    policy,
-    rng: np.random.Generator,
-    initial_state: JointState | None = None,
+    env: GridEnv, policy, rng: np.random.Generator, initial_state: JointState | None = None
 ) -> EpisodeRollout:
     """Roll one episode; ends at the horizon or once every agent has reached a goal.
 
-    policy is anything with a `sample_action(cell, rng) -> Action` method.
+    policy is anything with a `sample_actions(cells, rng) -> actions`
+    method, called once per step with the live agents' flat cells; a
+    TabularPolicy takes one block of uniforms, one per agent in order.
     """
     state = env.reset(rng) if initial_state is None else initial_state
-    return roll_episode(env, state, lambda i, c: policy.sample_action(env.cells[c], rng), rng)
+    return roll_episode(env, state, lambda agents, cells: policy.sample_actions(cells, rng), rng)
 
 
 @dataclass

@@ -67,10 +67,10 @@ class ScriptPolicy:
         self.actions = list(actions)
         self.cursor = 0
 
-    def sample_action(self, cell, rng):
-        action = self.actions[self.cursor]
-        self.cursor += 1
-        return action
+    def sample_actions(self, cells, rng):
+        actions = self.actions[self.cursor : self.cursor + len(cells)]
+        self.cursor += len(cells)
+        return actions
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ class ConstantPolicy:
     def __init__(self, action: Action):
         self.action = action
 
-    def sample_action(self, cell, rng):
-        return self.action
+    def sample_actions(self, cells, rng):
+        return [self.action] * len(cells)
 
 
 def stay_policy(grid) -> TabularPolicy:

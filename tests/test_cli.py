@@ -97,8 +97,8 @@ def test_eval_round_trip(strip_config, tmp_path, capsys):
         "mean_timesteps",
         "mean_cost",
         "obstacle_distance",
-        "collisions_per_episode",
         "eval_seconds",
+        "collisions_per_episode",
     ]
     assert lines[3].split()[1] == "na"  # strip has no obstacles
     rows = csv_rows(out_csv)

@@ -33,13 +33,13 @@ class ConstantPolicy:
     def __init__(self, action: Action):
         self.action = action
 
-    def sample_action(self, cell, rng):
-        return self.action
+    def sample_actions(self, cells, rng):
+        return [self.action] * len(cells)
 
 
 class RandomPolicy:
-    def sample_action(self, cell, rng):
-        return Action(int(rng.integers(5)))
+    def sample_actions(self, cells, rng):
+        return [Action(int(rng.integers(5))) for _ in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +386,33 @@ def test_conflict_kernel_matches_the_pairwise_rounds(case):
     assert_kernel_matches_pairwise_rounds(*case)
 
 
+def assert_advance_matches_pairwise_rounds(pre, final, active, events, num_cells):
+    """GridEnv.advance, one episode at a time, equals resolve_conflicts_pairwise: same cells and event codes.
+
+    The env is a strip of num_cells free cells plus a goal no move
+    reaches; its move table is rewritten so that action UP takes each
+    live agent from pre to final with its MOVED or BLOCKED event.
+    """
+    want_events = events.copy()
+    want = resolve_conflicts_pairwise(pre, final, active, want_events)
+    env = GridEnv(EnvConfig(grid=parse_map("." * num_cells + "G\n")))
+    for b in range(len(pre)):
+        live = np.flatnonzero(active[b])
+        for i in live:
+            env._target[pre[b, i]][Action.UP] = int(final[b, i])
+            env._move_event[pre[b, i]][Action.UP] = int(events[b, i])
+        got, got_events = env.advance(pre[b, live].tolist(), [Action.UP] * len(live), np.random.default_rng(0))
+        assert got == want[b, live].tolist()
+        assert got_events == want_events[b, live].tolist()
+
+
+@given(case=crowded_moves())
+@settings(max_examples=300, deadline=None)
+def test_advance_matches_the_pairwise_rounds(case):
+    pre, final, active, events, num_cells, _ = case
+    assert_advance_matches_pairwise_rounds(pre, final, active, events, num_cells)
+
+
 @pytest.mark.parametrize(
     "pre, final, want_final, want_events",
     [
@@ -404,6 +431,7 @@ def test_conflict_kernel_on_hand_made_cases(pre, final, want_final, want_events)
     active = np.ones(pre.shape, dtype=bool)
     events = np.full(pre.shape, MOVED)
     assert_kernel_matches_pairwise_rounds(pre, final, active, events, 6, np.intp)
+    assert_advance_matches_pairwise_rounds(pre, final, active, events, 6)
     got = resolve_conflicts_pairwise(pre, final, active, events)
     assert got.tolist() == [want_final]
     assert events.tolist() == [[codes[e] for e in want_events]]
@@ -518,3 +546,56 @@ def test_uniform_policy_timeout_rate_regression():
     rng = np.random.default_rng(2024)
     reached = sum(int(run_episode(env, policy, rng).all_reached) for _ in range(200))
     assert reached == 21
+
+
+def reference_rollout(env, sample, rng):
+    """run_episode's reference over Cells: reset, then per step one sample(cell, rng) per active agent and
+    GridEnv.step.  Returns the step count and each agent's (cells, actions, events, reached)."""
+    state = tuple(AgentStatus(st.cell, True, False) if st.cell in env.grid.goals else st for st in env.reset(rng))
+    record = [([st.cell], [], []) for st in state]
+    steps = 0
+    while steps < env.config.horizon and any(st.active for st in state):
+        actions = [sample(st.cell, rng) if st.active else Action.STAY for st in state]
+        after, events = env.step(state, actions, rng)
+        for (cells, acts, evs), st, new, action, event in zip(record, state, after, actions, events):
+            if st.active:
+                cells.append(new.cell)
+                acts.append(action)
+                evs.append(event)
+        state, steps = after, steps + 1
+    return steps, [(*r, st.reached) for r, st in zip(record, state)]
+
+
+@pytest.mark.parametrize("sampler", ["sample_action", "scalar_inverse_cdf"])
+@pytest.mark.parametrize("slip", [0.0, 0.2])
+@pytest.mark.parametrize("num_agents", [1, 4, 25])
+def test_run_episode_equals_the_cell_level_loop(num_agents, slip, sampler):
+    """One block of uniforms per step takes exactly the per-agent draws, and leaves the generator alike.
+
+    The per-agent draw is TabularPolicy.sample_action, or one scalar
+    rng.random() inverted through the cell's cumulative row.
+    """
+    from evomapf.bench import generate_map
+    from evomapf.egt import TabularPolicy
+
+    grid = generate_map(20, 20, 0.1, np.random.default_rng([7, 20]))
+    env = GridEnv(EnvConfig(grid=grid, num_agents=num_agents, horizon=80, slip_probability=slip))
+    probs = np.random.default_rng(num_agents).dirichlet(np.full(5, 0.5), size=(grid.height, grid.width))
+    policy = TabularPolicy(grid.width, grid.height, probs, grid.free_cells())
+    cumulative = policy.cumulative()
+
+    def scalar_inverse_cdf(cell, rng):
+        return Action(min(int(np.searchsorted(cumulative[cell.y, cell.x], rng.random(), side="right")), 4))
+
+    sample = policy.sample_action if sampler == "sample_action" else scalar_inverse_cdf
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    conflicts = 0
+    for _ in range(6):
+        rollout = run_episode(env, policy, got_rng)
+        steps, want = reference_rollout(env, sample, want_rng)
+        assert rollout.steps == steps
+        assert [(t.cells, t.actions, t.events, t.reached) for t in rollout.trajectories] == want
+        conflicts += sum(ev in (StepEvent.VERTEX_CONFLICT, StepEvent.SWAP_CONFLICT) for t in rollout.trajectories
+                         for ev in t.events)
+    assert got_rng.random() == want_rng.random()
+    assert conflicts > 0 or num_agents == 1
