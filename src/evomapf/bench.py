@@ -85,22 +85,25 @@ _ACTION_BY_DELTA = {delta: action for action, delta in ACTION_DELTAS.items()}
 
 
 class _PlanFollower:
-    """Replays an A* path; retries the same move after a conflict revert, and replans after a slip."""
+    """Replays an A* path; retries the same move after a conflict revert."""
 
     def __init__(self, grid: GridMap, start: Cell):
         self.grid = grid
-        self.plan(start)
-
-    def plan(self, cell: Cell) -> None:
-        self.path = astar(self.grid, cell) or []  # empty once no path is left: stay for good
-        self.index = {c: i for i, c in enumerate(self.path)}
+        self.path = astar(grid, start)
+        self.index = {cell: i for i, cell in enumerate(self.path)} if self.path else {}
 
     def next_action(self, cell: Cell) -> Action:
+        if self.path is None:
+            return Action.STAY
         i = self.index.get(cell)
-        if i is None and self.path:
-            self.plan(cell)
+        if i is None:
+            # Slipped off the plan; replan from here.
+            self.path = astar(self.grid, cell)
+            self.index = {c: j for j, c in enumerate(self.path)} if self.path else {}
             i = self.index.get(cell)
-        if i is None or i + 1 >= len(self.path):
+            if i is None:
+                return Action.STAY
+        if i + 1 >= len(self.path):
             return Action.STAY
         nxt = self.path[i + 1]
         return _ACTION_BY_DELTA[nxt.x - cell.x, nxt.y - cell.y]

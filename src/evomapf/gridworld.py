@@ -8,13 +8,11 @@ goal cell despawns at the end of that step.
 
 Both steppers work on flat cell indices (y * width + x) through one
 (cells x 5) move table and emit STEP_EVENTS codes.  `GridEnv.advance`
-steps one episode's live agents, with revert rounds only on the cells a
-conflict touches; `episode_steps` plays one episode on it with one
-choose call per step, and `run_episode` (one block of uniforms per
-step), the A* replay and Q-learning all run on that.  `roll_batch`
-rolls many episodes at once with the same rules and random draws, for
-training and Monte-Carlo.  `GridEnv.step` is the same kernel on
-`AgentStatus`/`Cell` values.
+steps one episode's live agents and re-checks only cells a revert
+touches; `episode_steps` plays an episode on it with one choose call
+per step, for `run_episode` (one block of uniforms per step), the A*
+replay and Q-learning.  `roll_batch` rolls many episodes at once with
+the same rules and draws.  `GridEnv.step` is advance on `AgentStatus`s.
 """
 from __future__ import annotations
 
@@ -273,12 +271,11 @@ class GridEnv:
 
         Each agent, in order, may slip to a uniformly random move, then
         moves through the move table or is blocked in place.  Unless the
-        targets are distinct and no mover lands on another agent's cell,
-        movers that share a cell or swap cells are reverted, in rounds
-        until none is left.  The first round checks every agent; a revert
-        makes no mover and adds an occupant only where it returns to, so
-        later rounds check only the agent headed there.  An agent keeps
-        its first conflict event, and one that ends on a goal reaches it.
+        targets are distinct and none lands on another agent's cell, movers
+        that share or swap cells are reverted in rounds: the first checks
+        every agent, later ones only the agent headed for a cell a revert
+        returned to (a revert makes no mover).  An agent keeps its first
+        conflict event, and one that ends on a goal reaches it.
         """
         target, move_event, goal, slip = self._target, self._move_event, self._goal, self.config.slip_probability
         if slip > 0.0:
