@@ -128,7 +128,7 @@ def qlearning_table(
     step_reward = _step_rewards(rewards)
     lr, gamma, epsilon = params.learning_rate, rewards.gamma, params.epsilon_greedy
 
-    def choose(agents: list[int], cells: list[int]) -> list[int]:
+    def choose(cells: list[int]) -> list[int]:
         # Each explore test draws before its random action: the condition is evaluated first.
         return [int(rng.integers(NUM_ACTIONS)) if rng.random() < epsilon else q[c].index(max(q[c])) for c in cells]
 

@@ -1,8 +1,9 @@
-"""Benchmark harness: map generation, policy/planner evaluation, and suite runs.
+"""Benchmark harness: map generation, policy evaluation, and suite runs.
 
-Evaluation rolls frozen policies (or A* plans executed step by step in
-the live environment) over seeded episodes and reports success rate,
-timesteps to goal, obstacle clearance, and agent-agent collisions.
+Evaluation rolls frozen tabular policies over seeded episodes and
+reports success rate, timesteps to goal, obstacle clearance, and
+agent-agent collisions.  The A* baseline is one such policy: each cell
+moves along an A* path from it.
 Suites sweep grid sizes, agent counts, and algorithms into a CSV where
 every algorithm sees the identical map and start draws.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from .automaton import RewardParams, RewardMachine
 from .baselines import LEARNERS, LearnerParams, astar
-from .egt import TabularPolicy, TrainConfig, train
+from .egt import NUM_ACTIONS, TabularPolicy, TrainConfig, train
 from .gridworld import (
     ACTION_DELTAS,
     Action,
@@ -28,15 +29,10 @@ from .gridworld import (
     GridEnv,
     GridMap,
     JointState,
-    roll_episode,
     run_episode,
 )
 
 ALGORITHMS = ("egt", "astar", *LEARNERS)
-
-
-class AStarPlanner:
-    """Evaluation subject that plans with A* per agent and replays the paths."""
 
 
 def obstacle_distance_field(grid: GridMap) -> np.ndarray | None:
@@ -80,73 +76,60 @@ class Metrics:
     eval_seconds: float
 
 
-# The action that moves by (dx, dy); a plan's next cell is always one such move away.
+# The action that moves by (dx, dy); a path's next cell is always one such move away.
 _ACTION_BY_DELTA = {delta: action for action, delta in ACTION_DELTAS.items()}
 
 
-class _PlanFollower:
-    """Replays an A* path; retries the same move after a conflict revert."""
+def astar_policy(grid: GridMap) -> TabularPolicy:
+    """A* as a one-hot policy: each free cell moves to the next cell of astar's path from it.
 
-    def __init__(self, grid: GridMap, start: Cell):
-        self.grid = grid
-        self.path = astar(grid, start)
-        self.index = {cell: i for i, cell in enumerate(self.path)} if self.path else {}
-
-    def next_action(self, cell: Cell) -> Action:
-        if self.path is None:
-            return Action.STAY
-        i = self.index.get(cell)
-        if i is None:
-            # Slipped off the plan; replan from here.
-            self.path = astar(self.grid, cell)
-            self.index = {c: j for j, c in enumerate(self.path)} if self.path else {}
-            i = self.index.get(cell)
-            if i is None:
-                return Action.STAY
-        if i + 1 >= len(self.path):
-            return Action.STAY
-        nxt = self.path[i + 1]
-        return _ACTION_BY_DELTA[nxt.x - cell.x, nxt.y - cell.y]
+    A goal cell, or one walled off from every goal, stays.  On generated
+    maps astar from any cell of an astar path goes on along it, so the table
+    walks each start's A* path, and after a slip the one from where it lands.
+    """
+    moves = np.full((grid.height, grid.width), Action.STAY)
+    cells = grid.free_cells()
+    for cell in cells:
+        path = astar(grid, cell)
+        if path is not None and len(path) > 1:
+            moves[cell.y, cell.x] = _ACTION_BY_DELTA[path[1].x - cell.x, path[1].y - cell.y]
+    return TabularPolicy(grid.width, grid.height, np.eye(NUM_ACTIONS)[moves], cells)
 
 
 def plan_rollout(env: GridEnv, rng: np.random.Generator, initial_state: JointState | None = None) -> EpisodeRollout:
-    """Plan per agent with A* at reset, then execute jointly in the environment."""
-    state = env.reset(rng) if initial_state is None else initial_state
-    followers = [_PlanFollower(env.grid, st.cell) for st in state]
-    return roll_episode(
-        env, state, lambda agents, cells: [followers[i].next_action(env.cells[c]) for i, c in zip(agents, cells)], rng
-    )
+    """run_episode under astar_policy; kept only because perfbench's suite-small patches
+    `bench.plan_rollout` and its `--trace 1` spans it.  Benchmark v2 (ROADMAP item 1) deletes it."""
+    return run_episode(env, astar_policy(env.grid), rng, initial_state)
 
 
 def evaluate(
-    subject: TabularPolicy | AStarPlanner,
+    policy: TabularPolicy,
     env_config: EnvConfig,
     episodes: int,
     rng: np.random.Generator,
 ) -> Metrics:
-    """Roll seeded evaluation episodes and aggregate Metrics.
+    """Roll seeded evaluation episodes of policy and aggregate Metrics.
 
     Start placements come from a reset stream independent of the action
-    stream, so two subjects evaluated with generators seeded alike see
-    the identical start draws.  A policy must be the map's size and have
+    stream, so two policies evaluated with generators seeded alike see
+    the identical start draws.  The policy must be the map's size and have
     a row for every free cell of it.
     """
     if episodes < 1:
         raise ConfigError("episodes must be at least 1")
     grid = env_config.grid
-    if not isinstance(subject, AStarPlanner):
-        if (subject.width, subject.height) != (grid.width, grid.height):
-            raise ConfigError(
-                f"policy was trained on a {subject.width}x{subject.height} grid "
-                f"but the map is {grid.width}x{grid.height}"
-            )
-        known = set(subject.cells)
-        missing = [c for c in grid.free_cells() if c not in known]
-        if missing:
-            raise ConfigError(
-                f"policy has no row for free cell ({missing[0].x},{missing[0].y}) of the map "
-                f"({len(missing)} missing); it was trained on another map"
-            )
+    if (policy.width, policy.height) != (grid.width, grid.height):
+        raise ConfigError(
+            f"policy was trained on a {policy.width}x{policy.height} grid "
+            f"but the map is {grid.width}x{grid.height}"
+        )
+    known = set(policy.cells)
+    missing = [c for c in grid.free_cells() if c not in known]
+    if missing:
+        raise ConfigError(
+            f"policy has no row for free cell ({missing[0].x},{missing[0].y}) of the map "
+            f"({len(missing)} missing); it was trained on another map"
+        )
     env = GridEnv(env_config)
     field = obstacle_distance_field(grid)
     field = None if field is None else field.tolist()  # indexing lists is cheaper than numpy scalars
@@ -159,11 +142,7 @@ def evaluate(
     started = time.perf_counter()
     for reset_seed, action_seed in seeds:
         state = env.reset(np.random.default_rng(int(reset_seed)))
-        action_rng = np.random.default_rng(int(action_seed))
-        if isinstance(subject, AStarPlanner):
-            rollout = plan_rollout(env, action_rng, initial_state=state)
-        else:
-            rollout = run_episode(env, subject, action_rng, initial_state=state)
+        rollout = run_episode(env, policy, np.random.default_rng(int(action_seed)), initial_state=state)
         for traj in rollout.trajectories:
             agent_episodes += 1
             if traj.reached:
@@ -308,11 +287,11 @@ def train_subject(
     rewards: RewardParams,
     train_episodes: int,
     rng: np.random.Generator,
-) -> tuple[TabularPolicy | AStarPlanner, float]:
-    """Train (or construct) an evaluation subject; returns it with wall-clock seconds."""
+) -> tuple[TabularPolicy, float]:
+    """Train (or construct) an algorithm's evaluation policy; returns it with wall-clock seconds."""
     started = time.perf_counter()
     if algorithm == "astar":
-        subject: TabularPolicy | AStarPlanner = AStarPlanner()
+        subject = astar_policy(env_config.grid)
     elif algorithm == "egt":
         config = TrainConfig(
             env=env_config,

@@ -10,9 +10,9 @@ Both steppers work on flat cell indices (y * width + x) through one
 (cells x 5) move table and emit STEP_EVENTS codes.  `GridEnv.advance`
 steps one episode's live agents and re-checks only cells a revert
 touches; `episode_steps` plays an episode on it with one choose call
-per step, for `run_episode` (one block of uniforms per step), the A*
-replay and Q-learning.  `roll_batch` rolls many episodes at once with
-the same rules and draws.  `GridEnv.step` is advance on `AgentStatus`s.
+per step, for `run_episode` (one block of uniforms per step) and
+Q-learning.  `roll_batch` rolls many episodes at once with the same
+rules and draws.  `GridEnv.step` is advance on `AgentStatus`s.
 """
 from __future__ import annotations
 
@@ -380,11 +380,8 @@ def _trajectory(
     )
 
 
-Choose = Callable[[list[int], list[int]], list[int]]
-
-
 def episode_steps(
-    env: GridEnv, state: JointState, choose: Choose, rng: np.random.Generator
+    env: GridEnv, state: JointState, choose: Callable[[list[int]], list[int]], rng: np.random.Generator
 ) -> Iterator[tuple[list[int], list[int], list[int], list[int], list[int]]]:
     """Play one episode from state, yielding (agents, before, actions, after, events) per step.
 
@@ -392,37 +389,22 @@ def episode_steps(
     state, in order, and the other lists one flat cell, action or event
     code each.  An agent inactive in state or placed on a goal is done at
     t = 0, and one that reaches a goal drops out after that step.
-    choose(agents, cells) -> actions is called once per step, after the
-    previous step has been yielded.  The episode ends at the horizon or
-    once no agent is live.
+    choose(cells) -> actions is called once per step with the live
+    agents' cells, after the previous step has been yielded.  The episode
+    ends at the horizon or once no agent is live.
     """
     agents = [i for i, st in enumerate(state) if st.active and not env._goal[env.index(st.cell)]]
     pre = [env.index(state[i].cell) for i in agents]
     for _ in range(env.config.horizon):
         if not agents:
             return
-        actions = choose(agents, pre)
+        actions = choose(pre)
         final, events = env.advance(pre, actions, rng)
         yield agents, pre, actions, final, events
         if _REACHED in events:
             agents = [i for i, ev in zip(agents, events) if ev != _REACHED]
             final = [c for c, ev in zip(final, events) if ev != _REACHED]
         pre = final
-
-
-def roll_episode(env: GridEnv, state: JointState, choose: Choose, rng: np.random.Generator) -> EpisodeRollout:
-    """Record the episode_steps of one episode as an EpisodeRollout."""
-    record = [([env.index(st.cell)], [], []) for st in state]  # cells, actions, events per agent
-    steps = 0
-    for steps, (agents, _, actions, after, events) in enumerate(episode_steps(env, state, choose, rng), 1):
-        for i, action, cell, event in zip(agents, actions, after, events):
-            cells, acts, evs = record[i]
-            cells.append(cell)
-            acts.append(action)
-            evs.append(event)
-    # Recording stops on a goal, so an agent ends on one only by reaching it.
-    trajectories = [_trajectory(env, *r, env._goal[r[0][-1]]) for r in record]
-    return EpisodeRollout(trajectories=trajectories, steps=steps)
 
 
 def run_episode(
@@ -435,7 +417,18 @@ def run_episode(
     TabularPolicy takes one block of uniforms, one per agent in order.
     """
     state = env.reset(rng) if initial_state is None else initial_state
-    return roll_episode(env, state, lambda agents, cells: policy.sample_actions(cells, rng), rng)
+    record = [([env.index(st.cell)], [], []) for st in state]  # cells, actions, events per agent
+    steps = 0
+    played = episode_steps(env, state, lambda cells: policy.sample_actions(cells, rng), rng)
+    for steps, (agents, _, actions, after, events) in enumerate(played, 1):
+        for i, action, cell, event in zip(agents, actions, after, events):
+            cells, acts, evs = record[i]
+            cells.append(cell)
+            acts.append(action)
+            evs.append(event)
+    # Recording stops on a goal, so an agent ends on one only by reaching it.
+    trajectories = [_trajectory(env, *r, env._goal[r[0][-1]]) for r in record]
+    return EpisodeRollout(trajectories=trajectories, steps=steps)
 
 
 @dataclass

@@ -9,12 +9,12 @@ import pytest
 
 from evomapf import bench
 from evomapf.automaton import SUM, RewardParams, reach_avoid_machine, valuate
-from evomapf.baselines import manhattan
+from evomapf.baselines import astar, manhattan
 from evomapf.bench import (
     ALGORITHMS,
-    AStarPlanner,
     Metrics,
     SuiteConfig,
+    astar_policy,
     evaluate,
     generate_map,
     metrics_row,
@@ -29,12 +29,17 @@ from evomapf.bench import (
 from evomapf.egt import TabularPolicy, TrainConfig, load_policy, save_policy, train
 from evomapf.gridworld import (
     Action,
+    ACTION_DELTAS,
     AgentStatus,
     Cell,
     ConfigError,
+    CONFLICT_EVENTS,
     EnvConfig,
     GridEnv,
     GridMap,
+    STEP_EVENTS,
+    StepEvent,
+    episode_steps,
     format_map,
     parse_map,
     run_episode,
@@ -119,7 +124,7 @@ def test_astar_evaluation_matches_manhattan_on_an_empty_board():
                 starts=frozenset({start}),
             )
             metrics = evaluate(
-                AStarPlanner(), EnvConfig(grid=grid), 1, np.random.default_rng(0)
+                astar_policy(grid), EnvConfig(grid=grid), 1, np.random.default_rng(0)
             )
             assert metrics.success_rate == 1.0
             per_start.append(metrics.mean_timesteps)
@@ -147,9 +152,24 @@ def test_plan_execution_takes_exactly_the_plan_length():
         (0, 0),
         {(3, 2)},
     )
-    metrics = evaluate(AStarPlanner(), EnvConfig(grid=grid), 1, np.random.default_rng(0))
+    metrics = evaluate(astar_policy(grid), EnvConfig(grid=grid), 1, np.random.default_rng(0))
     assert metrics.success_rate == 1.0
     assert metrics.mean_timesteps == want
+
+
+def test_astar_policy_walks_the_astar_path_from_every_free_cell():
+    """One agent under astar_policy walks astar's path from its start, which is as long as BFS's."""
+    for seed, (size, density) in enumerate([(6, 0.3), (9, 0.2), (12, 0.3), (15, 0.1), (20, 0.2)]):
+        grid = generate_map(size, size, density, np.random.default_rng([seed, size]))
+        env = GridEnv(EnvConfig(grid=grid, horizon=size * size))
+        policy = astar_policy(grid)
+        obstacles = {(c.x, c.y) for c in grid.obstacles}
+        goals = {(g.x, g.y) for g in grid.goals}
+        for cell in grid.free_cells():
+            path = astar(grid, cell)
+            (traj,) = run_episode(env, policy, np.random.default_rng(0), initial_state=(AgentStatus(cell),)).trajectories
+            assert traj.cells == path
+            assert traj.arrival_time == len(path) - 1 == bfs_path_length(size, size, obstacles, cell, goals)
 
 
 def test_plan_rollout_settles_agents_that_start_on_a_goal():
@@ -160,12 +180,19 @@ def test_plan_rollout_settles_agents_that_start_on_a_goal():
     for traj in rollout.trajectories:
         assert traj.reached and traj.arrival_time == 0
         assert traj.actions == [] and traj.events == []
+    # plan_rollout is run_episode under astar_policy, draw for draw.
+    env = GridEnv(EnvConfig(grid=generate_map(10, 10, 0.1, np.random.default_rng([0, 10])), num_agents=4,
+                            slip_probability=0.1))
+    planned, policy_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(5):
+        assert plan_rollout(env, planned) == run_episode(env, astar_policy(env.grid), policy_rng)
+    assert planned.random() == policy_rng.random()
 
 
 def test_two_plans_into_one_corridor_livelock():
     grid = parse_map(".G.\n")
     metrics = evaluate(
-        AStarPlanner(),
+        astar_policy(grid),
         EnvConfig(grid=grid, num_agents=2, horizon=9),
         1,
         np.random.default_rng(0),
@@ -175,9 +202,84 @@ def test_two_plans_into_one_corridor_livelock():
     assert metrics.collisions_per_episode == 18.0  # both agents, every step
 
 
+class ReplayedPlan:
+    """The A* replay that astar_policy replaced: an agent follows the A* path from its start,
+    retries a move after a conflict revert, and replans with astar when a slip takes it off its path."""
+
+    def __init__(self, grid: GridMap, start: Cell):
+        self.grid = grid
+        self.path = astar(grid, start)
+
+    def next_action(self, cell: Cell) -> Action:
+        if self.path is None:
+            return Action.STAY
+        if cell not in self.path:
+            self.path = astar(self.grid, cell)
+            if self.path is None:
+                return Action.STAY
+        i = self.path.index(cell)
+        if i + 1 == len(self.path):
+            return Action.STAY
+        step = (self.path[i + 1].x - cell.x, self.path[i + 1].y - cell.y)
+        return next(a for a, delta in ACTION_DELTAS.items() if delta == step)
+
+
+def replayed_episode(env: GridEnv, rng: np.random.Generator) -> tuple[int, list[int], int]:
+    """One episode of ReplayedPlan agents: (agent-episodes, arrival times, conflict events)."""
+    state = env.reset(rng)
+    plans = [ReplayedPlan(env.grid, st.cell) for st in state]
+    live = [i for i, st in enumerate(state) if st.cell not in env.grid.goals]
+    arrivals = [0] * (len(state) - len(live))
+    conflicts = 0
+
+    def choose(cells: list[int]) -> list[Action]:
+        return [plans[i].next_action(env.cells[c]) for i, c in zip(live, cells)]
+
+    for t, (agents, _, _, _, events) in enumerate(episode_steps(env, state, choose, rng), 1):
+        codes = [STEP_EVENTS[ev] for ev in events]
+        conflicts += sum(ev in CONFLICT_EVENTS for ev in codes)
+        arrivals += [t] * codes.count(StepEvent.REACHED_GOAL)
+        live = [i for i, ev in zip(agents, codes) if ev is not StepEvent.REACHED_GOAL]
+    return len(state), arrivals, conflicts
+
+
+def test_astar_policy_matches_the_replay_in_distribution_under_slip():
+    """With slip, astar_policy draws a policy uniform per agent and step that the replay did not,
+    so only the distribution can agree: success, mean arrival time and collisions per episode
+    within 4 standard errors, over independent episodes of each."""
+    grid = generate_map(10, 10, 0.1, np.random.default_rng([0, 10]))
+    env = GridEnv(EnvConfig(grid=grid, num_agents=4, slip_probability=0.1))
+    policy = astar_policy(grid)
+
+    def policy_episode(env: GridEnv, rng: np.random.Generator) -> tuple[int, list[int], int]:
+        trajs = run_episode(env, policy, rng).trajectories
+        conflicts = sum(ev in CONFLICT_EVENTS for t in trajs for ev in t.events)
+        return len(trajs), [t.arrival_time for t in trajs if t.reached], conflicts
+
+    episodes = 3000
+    sides = []  # per episode: agents, successes, summed arrival time, conflicts
+    for seed, play in ((5, policy_episode), (6, replayed_episode)):
+        outcomes = [play(env, np.random.default_rng([seed, e])) for e in range(episodes)]
+        sides.append(np.array([(n, len(a), sum(a), c) for n, a, c in outcomes], dtype=float))
+
+    def ratio(numerator, denominator):
+        # A ratio of episode sums and its delta-method standard error over episodes.
+        r = numerator.sum() / denominator.sum()
+        return r, (numerator - r * denominator).std() / (denominator.mean() * np.sqrt(len(numerator)))
+
+    figures = [
+        [ratio(x[:, 1], x[:, 0]), ratio(x[:, 2], x[:, 1]), (x[:, 3].mean(), x[:, 3].std() / np.sqrt(len(x)))]
+        for x in sides
+    ]
+    for (got, se_got), (want, se_want) in zip(*figures):
+        assert abs(got - want) < 4 * np.hypot(se_got, se_want)
+    success = figures[0][0][0]
+    assert 0.5 < success < 1.0  # some agents time out in a livelock
+
+
 def test_mean_cost_charges_the_horizon_for_each_failure():
     grid = parse_map("S....\n.###.\n...G.\n")
-    planned = evaluate(AStarPlanner(), EnvConfig(grid=grid), 1, np.random.default_rng(0))
+    planned = evaluate(astar_policy(grid), EnvConfig(grid=grid), 1, np.random.default_rng(0))
     assert planned.mean_cost == planned.mean_timesteps == 5
     stuck = evaluate(stay_policy(grid), EnvConfig(grid=grid, horizon=9), 3, np.random.default_rng(0))
     assert stuck.mean_timesteps is None and stuck.mean_cost == 9.0
@@ -315,11 +417,18 @@ def test_suite_config_validation():
 
 
 def test_train_subject_astar_needs_no_training():
-    grid = parse_map("..G\n...\n")
+    # (4,0) and (4,1) are walled off from the goal.
+    grid = parse_map("..G#.\n...#.\n")
     subject, seconds = train_subject(
         "astar", EnvConfig(grid=grid), RewardParams.default_for(10), 100, np.random.default_rng(0)
     )
-    assert isinstance(subject, AStarPlanner)
+    assert isinstance(subject, TabularPolicy)
+    assert subject.cells == grid.free_cells()
+    assert np.all(subject.probs.max(axis=2) == 1.0)
+    for cell in grid.free_cells():
+        path = astar(grid, cell)
+        step = (0, 0) if path is None or len(path) == 1 else (path[1].x - cell.x, path[1].y - cell.y)
+        assert ACTION_DELTAS[Action(subject.action_probs(cell).argmax())] == step
     assert seconds >= 0.0
 
 
@@ -405,6 +514,13 @@ def test_run_suite_rows_and_determinism(tmp_path):
                 continue
             assert row_b[key] == value, key
         assert row_a["error"] == ""
+
+
+def test_run_suite_keeps_the_astar_replay_numbers():
+    """At slip 0, astar_policy's rows equal those of the per-agent A* replay it replaced."""
+    config = SuiteConfig(sizes=(10,), agents=(2, 4), algorithms=("astar",), eval_episodes=100, seed=0)
+    got = [(r["success_rate"], r["mean_timesteps"], r["collisions_per_episode"]) for r in run_suite(config)]
+    assert got == [("0.900000", "5.844444", "7.180000"), ("0.667500", "5.816479", "47.280000")]
 
 
 def test_run_suite_records_failures_and_continues(tmp_path):
