@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -493,6 +495,33 @@ def test_write_csv_echoes_configuration_comments(tmp_path):
     assert lines[1].startswith("algorithm,grid_size,num_agents,seed,")
 
 
+def serial_suite_rows(config: SuiteConfig) -> list[dict[str, str]]:
+    """The suite's rows rolled one after another in this process, on run_suite's seeds."""
+    rows = []
+    for size in config.sizes:
+        grid = generate_map(size, size, config.density, np.random.default_rng([config.seed, size]))
+        for num_agents in config.agents:
+            for algo_index, algorithm in enumerate(config.algorithms):
+                try:
+                    env_config = EnvConfig(
+                        grid=grid, num_agents=num_agents, slip_probability=config.slip_probability
+                    )
+                    subject, _ = train_subject(
+                        algorithm, env_config, RewardParams.default_for(env_config.horizon),
+                        config.train_episodes, np.random.default_rng([config.seed, size, num_agents, algo_index]),
+                    )
+                    eval_rng = np.random.default_rng([config.seed, size, num_agents, 10_000])
+                    metrics = evaluate(subject, env_config, config.eval_episodes, eval_rng)
+                    rows.append(metrics_row(algorithm, size, num_agents, config.seed, metrics))
+                except ConfigError as exc:
+                    rows.append(metrics_row(algorithm, size, num_agents, config.seed, None, error=str(exc)))
+    return rows
+
+
+def without_seconds(rows: list[dict[str, str]]) -> list[dict[str, str]]:
+    return [{k: v for k, v in row.items() if k not in ("train_seconds", "eval_seconds")} for row in rows]
+
+
 def test_run_suite_rows_and_determinism(tmp_path):
     config = SuiteConfig(
         sizes=(5,),
@@ -506,14 +535,9 @@ def test_run_suite_rows_and_determinism(tmp_path):
     path_b = str(tmp_path / "b.csv")
     rows_a = run_suite(config, out_path=path_a)
     rows_b = run_suite(config, out_path=path_b)
-    assert len(rows_a) == 2
     assert [r["algorithm"] for r in rows_a] == ["astar", "qlearning"]
-    for row_a, row_b in zip(rows_a, rows_b):
-        for key, value in row_a.items():
-            if key in ("train_seconds", "eval_seconds"):
-                continue
-            assert row_b[key] == value, key
-        assert row_a["error"] == ""
+    assert without_seconds(rows_a) == without_seconds(rows_b)
+    assert [r["error"] for r in rows_a] == ["", ""]
 
 
 def test_run_suite_keeps_the_astar_replay_numbers():
@@ -537,6 +561,47 @@ def test_run_suite_records_failures_and_continues(tmp_path):
     for row in rows:
         assert "num_agents=50 exceeds" in row["error"]
         assert row["success_rate"] == "na"
+
+
+def test_run_suite_matches_a_serial_reference():
+    # The 3x3 map has 7 start cells, so its 8-agent rows fail.
+    config = SuiteConfig(
+        sizes=(3, 5), agents=(2, 8), eval_episodes=10, train_episodes=300, slip_probability=0.1, seed=3
+    )
+    expected = serial_suite_rows(config)
+    assert sum("num_agents=8 exceeds" in row["error"] for row in expected) == len(ALGORITHMS)
+    assert without_seconds(run_suite(config)) == without_seconds(expected)
+
+
+def test_run_suite_leaves_no_worker_running():
+    clean = SuiteConfig(sizes=(5,), agents=(1, 2), eval_episodes=2, train_episodes=20)
+    failing = SuiteConfig(sizes=(3,), agents=(1, 8), eval_episodes=2, train_episodes=20)
+    for config, failures in ((clean, 0), (failing, len(ALGORITHMS))):
+        rows = run_suite(config)
+        assert sum(bool(row["error"]) for row in rows) == failures
+        assert multiprocessing.active_children() == []
+
+
+def crashing_train_subject(algorithm, *args):
+    if algorithm == "qlearning":
+        os._exit(1)
+    return train_subject(algorithm, *args)
+
+
+def test_run_suite_records_a_broken_pool_and_continues(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "train_subject", crashing_train_subject)
+    config = SuiteConfig(sizes=(5,), agents=(1, 2), eval_episodes=2, train_episodes=20)
+    path = tmp_path / "broken.csv"
+    rows = run_suite(config, out_path=str(path))
+    assert [(r["num_agents"], r["algorithm"]) for r in rows] == [
+        (str(n), a) for n in (1, 2) for a in ALGORITHMS
+    ]
+    # The rows still running or queued when a worker dies get the pool's error; the rest are evaluated.
+    crashed = [row for row in rows if "terminated abruptly" in row["error"]]
+    assert all(row in crashed for row in rows if row["algorithm"] == "qlearning")
+    assert all(row in crashed or not row["error"] for row in rows)
+    assert len(path.read_text().splitlines()) == 1 + len(rows)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,8 @@ def test_negative_seeds_exit_2_naming_the_seed(strip_config, tmp_path, capsys, c
     [
         (["--agents", "0"], "", "[suite] agents must be at least 1, got 0"),
         (["--agents", "-1"], "", "[suite] agents must be at least 1, got -1"),
-        (["--sizes", "-3"], "", "[suite] sizes must be at least 1, got -3"),
+        (["--sizes", "-3"], "", "[suite] sizes must be at least 2, got -3"),
+        (["--sizes", "5,1"], "", "[suite] sizes must be at least 2, got 1"),
         ([], "slip_probability = 1.5\n", "[suite] slip_probability must lie in [0, 1], got 1.5"),
         ([], "slip_probability = nan\n", "[suite] slip_probability must lie in [0, 1], got nan"),
         (
@@ -335,7 +336,7 @@ def test_negative_seeds_exit_2_naming_the_seed(strip_config, tmp_path, capsys, c
         ([], "density = 0.5\n", "[suite] density must lie in [0, 0.4], got 0.5"),
         ([], "eval_episodes = 0\n", "[suite] eval_episodes must be at least 1, got 0"),
     ],
-    ids=["agents-0", "agents-negative", "sizes-negative", "slip-above-1", "slip-nan", "algos-unknown",
+    ids=["agents-0", "agents-negative", "sizes-negative", "sizes-1", "slip-above-1", "slip-nan", "algos-unknown",
          "density-above-0.4", "eval-episodes-0"],
 )
 def test_bench_rejects_out_of_range_suite_values(tmp_path, capsys, flags, suite_section, message):
