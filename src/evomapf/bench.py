@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -332,60 +334,78 @@ def write_csv(path: str, rows: list[dict[str, str]], header_meta: dict[str, str]
             writer.writerow(row)
 
 
+def train_in_workers(calls: list[tuple]) -> Iterator[tuple[TabularPolicy, float] | Exception]:
+    """Run train_subject(*call) for each call in worker processes, one per CPU at most; yield
+    each result or exception in call order.  A call is yielded once it has finished and fewer
+    calls are unfinished than there are workers, so the caller's work between yields runs on a
+    CPU no worker uses.  Abandoning the generator cancels the queued calls; no worker outlives it.
+    """
+    # Imported here: multiprocessing adds about 1.4 MB to every process that imports this module.
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
+
+    workers = min(os.cpu_count() or 1, len(calls)) or 1
+    # The platform's start method: on Linux workers fork with the package imported, where
+    # spawning them would import numpy and the package again in each, about 0.45 s per
+    # suite-small sweep on a 2-vCPU host.
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        jobs = []
+        for call in calls:
+            try:
+                jobs.append(pool.submit(train_subject, *call))
+            except BrokenExecutor as exc:  # a worker died before this call was queued
+                jobs.append(Future())
+                jobs[-1].set_exception(exc)
+        for job in jobs:
+            while not job.done() or sum(not j.done() for j in jobs) >= workers:
+                wait([j for j in jobs if not j.done()], return_when=FIRST_COMPLETED)
+            yield job.result() if job.exception() is None else job.exception()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_suite(config: SuiteConfig, out_path: str | None = None, header_meta: dict[str, str] | None = None) -> list[dict[str, str]]:
     """Sweep sizes x agent counts x algorithms; one CSV row per combination.
 
     Each size gets one generated map shared by every algorithm, and the
     evaluation generator is re-seeded identically per algorithm so start
-    draws match.  Every row trains from its own seeded generator, so the
-    rows train in worker processes, one per CPU but no more than there are
-    rows, and `train_seconds` is timed in the worker.  Once the pool has
-    shut down, the rows are evaluated in this process, in row order:
-    evaluated beside training they would share the CPUs with it, and here
-    a wrapper around this module's `evaluate` or `run_episode` sees every
-    evaluation episode.  A failing combination, or a row left waiting when
-    the pool breaks, records its error and the sweep continues.
+    draws match.  Every row trains from its own seeded generator in
+    `train_in_workers`, which times `train_seconds` in the worker.  Each
+    row is evaluated in this process, in row order, as its training is
+    handed back, on a CPU no worker is using; so a wrapper around this
+    module's `evaluate` or `run_episode` sees every evaluation episode.  A
+    failing combination, or a row left waiting when the pool breaks,
+    records its error and the sweep continues.
     """
-    # Imported here: multiprocessing adds about 1.4 MB to every process that imports this module.
-    from concurrent.futures import Future, ProcessPoolExecutor
-
     grids = {size: generate_map(size, size, config.density, np.random.default_rng([config.seed, size]))
              for size in config.sizes}
     combos = [(size, num_agents, algo_index, algorithm)
               for size in config.sizes for num_agents in config.agents
               for algo_index, algorithm in enumerate(config.algorithms)]
-    jobs: list[tuple[EnvConfig | None, Future]] = []
-    # The platform's start method: on Linux workers fork with the package imported, where
-    # spawning them would import numpy and the package again in each, about 0.45 s per
-    # suite-small sweep on a 2-vCPU host.
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(combos))) as pool:
-        for size, num_agents, algo_index, algorithm in combos:
-            env_config = None
-            try:
-                env_config = EnvConfig(
-                    grid=grids[size], num_agents=num_agents, slip_probability=config.slip_probability
-                )
-                train_rng = np.random.default_rng([config.seed, size, num_agents, algo_index])
-                job = pool.submit(
-                    train_subject, algorithm, env_config, RewardParams.default_for(env_config.horizon),
-                    config.train_episodes, train_rng,
-                )
-            except Exception as exc:  # the row records it when its turn comes
-                job = Future()
-                job.set_exception(exc)
-            jobs.append((env_config, job))
-    rows: list[dict[str, str]] = []
-    for (size, num_agents, _, algorithm), (env_config, job) in zip(combos, jobs):
+    calls: list[tuple | Exception] = []  # train_subject's arguments, or why the row cannot train
+    for size, num_agents, algo_index, algorithm in combos:
         try:
-            subject, train_seconds = job.result()
-            eval_rng = np.random.default_rng([config.seed, size, num_agents, 10_000])
-            metrics = evaluate(subject, env_config, config.eval_episodes, eval_rng)
-            metrics.train_seconds = train_seconds
-            rows.append(metrics_row(algorithm, size, num_agents, config.seed, metrics))
-        except Exception as exc:  # record and continue with the next combination
-            rows.append(metrics_row(algorithm, size, num_agents, config.seed, None, error=str(exc)))
-        if out_path is not None:
-            write_csv(out_path, rows, header_meta)
+            env_config = EnvConfig(grid=grids[size], num_agents=num_agents, slip_probability=config.slip_probability)
+            calls.append((algorithm, env_config, RewardParams.default_for(env_config.horizon),
+                          config.train_episodes, np.random.default_rng([config.seed, size, num_agents, algo_index])))
+        except Exception as exc:  # the row records it when its turn comes
+            calls.append(exc)
+    rows: list[dict[str, str]] = []
+    with closing(train_in_workers([c for c in calls if not isinstance(c, Exception)])) as trained:
+        for (size, num_agents, _, algorithm), call in zip(combos, calls):
+            try:
+                outcome = call if isinstance(call, Exception) else next(trained)
+                if isinstance(outcome, Exception):
+                    raise outcome
+                subject, train_seconds = outcome
+                eval_rng = np.random.default_rng([config.seed, size, num_agents, 10_000])
+                metrics = evaluate(subject, call[1], config.eval_episodes, eval_rng)
+                metrics.train_seconds = train_seconds
+                rows.append(metrics_row(algorithm, size, num_agents, config.seed, metrics))
+            except Exception as exc:  # record and continue with the next combination
+                rows.append(metrics_row(algorithm, size, num_agents, config.seed, None, error=str(exc)))
+            if out_path is not None:
+                write_csv(out_path, rows, header_meta)
     return rows
 
 

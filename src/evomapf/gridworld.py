@@ -252,10 +252,10 @@ class GridEnv:
         # Per (cell, action): the cell the move lands on, and whether it was blocked.
         self.move_target = np.where(passable, target, np.arange(w * h)[:, None])
         self.move_blocked = ~passable & ((dx != 0) | (dy != 0))
-        # The same tables as lists, for stepping one episode at a time.
-        self._target = self.move_target.tolist()
-        self._move_event = self.move_blocked.astype(int).tolist()  # MOVED 0 or BLOCKED 1
-        self._goal = self.goal_mask.tolist()
+        # As lists, for stepping one episode: per (cell, action) the target and its event, REACHED on a goal.
+        self._goal = goal = self.goal_mask.tolist()
+        self._move = [[(t, _REACHED if goal[t] else ev) for t, ev in zip(targets, blocked)]
+                      for targets, blocked in zip(self.move_target.tolist(), self.move_blocked.astype(int).tolist())]
 
     def index(self, cell: Cell) -> int:
         return cell.y * self.grid.width + cell.x
@@ -270,43 +270,48 @@ class GridEnv:
         """Move the live agents one step from their distinct flat cells pre; returns their cells and event codes.
 
         Each agent, in order, may slip to a uniformly random move, then
-        moves through the move table or is blocked in place.  Unless the
-        targets are distinct and none lands on another agent's cell, movers
-        that share or swap cells are reverted in rounds: the first checks
-        every agent, later ones only the agent headed for a cell a revert
-        returned to (a revert makes no mover).  An agent keeps its first
-        conflict event, and one that ends on a goal reaches it.
+        moves through the move table or is blocked in place; a lone agent
+        is done.  Unless the targets are distinct and none lands on another
+        agent's cell, movers that share or swap cells are reverted in rounds:
+        the first checks every agent, later ones only the agent headed for a
+        cell a revert returned to (a revert makes no mover).  An agent keeps
+        its first conflict event, and one that ends on a goal reaches it.
         """
-        target, move_event, goal, slip = self._target, self._move_event, self._goal, self.config.slip_probability
+        move, goal, slip = self._move, self._goal, self.config.slip_probability
         if slip > 0.0:
             actions = [MOVE_ACTIONS[int(rng.integers(4))] if rng.random() < slip else a for a in actions]
-        final = [target[c][a] for c, a in zip(pre, actions)]
-        events = [move_event[c][a] for c, a in zip(pre, actions)]
+        if len(pre) == 1:
+            final, event = move[pre[0]][actions[0]]
+            return [final], [event]
+        moves = [move[c][a] for c, a in zip(pre, actions)]
+        final = [f for f, _ in moves]
+        events = [ev for _, ev in moves]
         # Distinct targets, none a start but the mover's own: no conflict.
-        if len(set(pre).union(final)) != len(pre) + sum(map(ne, final, pre)):
-            shared: dict[int, int] = {}  # agents per cell
-            for c in final:
+        if len(set(pre).union(final)) == len(pre) + sum(map(ne, final, pre)):
+            return final, events
+        shared: dict[int, int] = {}  # agents per cell
+        for c in final:
+            shared[c] = shared.get(c, 0) + 1
+        origin = {c: i for i, c in enumerate(pre)}  # who stood where
+        entering = {f: i for i, (f, c) in enumerate(zip(final, pre)) if f != c}
+        check: Iterable[int] = range(len(pre))
+        while check:
+            reverted = []
+            for i in check:
+                f = final[i]
+                vertex = shared[f] > 1
+                j = origin.get(f)
+                if vertex or (j is not None and j != i and final[j] == pre[i]):
+                    if events[i] not in (_VERTEX, _SWAP):  # no conflict yet, though maybe a REACHED
+                        events[i] = _VERTEX if vertex else _SWAP
+                    if f != pre[i]:
+                        reverted.append(i)
+            for i in reverted:
+                shared[final[i]] -= 1
+                final[i] = c = pre[i]
                 shared[c] = shared.get(c, 0) + 1
-            origin = {c: i for i, c in enumerate(pre)}  # who stood where
-            entering = {f: i for i, (f, c) in enumerate(zip(final, pre)) if f != c}
-            check: Iterable[int] = range(len(pre))
-            while check:
-                reverted = []
-                for i in check:
-                    f = final[i]
-                    vertex = shared[f] > 1
-                    j = origin.get(f)
-                    if vertex or (j is not None and j != i and final[j] == pre[i]):
-                        if events[i] <= _BLOCKED:
-                            events[i] = _VERTEX if vertex else _SWAP
-                        if f != pre[i]:
-                            reverted.append(i)
-                for i in reverted:
-                    shared[final[i]] -= 1
-                    final[i] = c = pre[i]
-                    shared[c] = shared.get(c, 0) + 1
-                # A reverted agent already has its event and stays; only who heads for its cell can change.
-                check = [entering[pre[i]] for i in reverted if pre[i] in entering]
+            # A reverted agent already has its event and stays; only who heads for its cell can change.
+            check = [entering[pre[i]] for i in reverted if pre[i] in entering]
         return final, [_REACHED if goal[c] else ev for c, ev in zip(final, events)]
 
     def step(

@@ -22,8 +22,8 @@ from evomapf.automaton import (
     reach_avoid_machine,
     valuate,
 )
-from evomapf.baselines import LearnerParams, astar, monte_carlo_train, qlearning_train
-from evomapf.bench import evaluate, generate_map
+from evomapf.baselines import astar
+from evomapf.bench import evaluate, generate_map, train_in_workers
 from evomapf.cli import main as cli_main
 from evomapf.egt import (
     FitnessTable,
@@ -373,12 +373,12 @@ def test_07_sample_efficiency_against_tabular_baselines(town_training):
     assert budget == 128_000
 
     subjects = {"egt": result.policy.greedy()}
-    subjects["qlearning"] = qlearning_train(
-        env_config, rewards, LearnerParams(episodes=budget), np.random.default_rng(0)
-    )
-    subjects["montecarlo"] = monte_carlo_train(
-        env_config, rewards, LearnerParams(episodes=budget), np.random.default_rng(0)
-    )
+    # The two learners train side by side in worker processes, each as it would here.
+    calls = [(name, env_config, rewards, budget, np.random.default_rng(0)) for name in ("qlearning", "montecarlo")]
+    for (name, *_), outcome in zip(calls, list(train_in_workers(calls))):
+        if isinstance(outcome, Exception):
+            raise outcome
+        subjects[name], _ = outcome
     results = {
         name: evaluate(subject, env_config, 200, np.random.default_rng(123))
         for name, subject in subjects.items()

@@ -5,13 +5,16 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from evomapf import bench
 from evomapf.automaton import SUM, RewardParams, reach_avoid_machine, valuate
-from evomapf.baselines import astar, manhattan
+from evomapf.baselines import LearnerParams, astar, manhattan, monte_carlo_train, qlearning_train
 from evomapf.bench import (
     ALGORITHMS,
     Metrics,
@@ -24,6 +27,7 @@ from evomapf.bench import (
     obstacle_distance_field,
     plan_rollout,
     run_suite,
+    train_in_workers,
     train_subject,
     write_csv,
     write_trajectory_log,
@@ -602,6 +606,94 @@ def test_run_suite_records_a_broken_pool_and_continues(monkeypatch, tmp_path):
     assert all(row in crashed or not row["error"] for row in rows)
     assert len(path.read_text().splitlines()) == 1 + len(rows)
     assert multiprocessing.active_children() == []
+
+
+def marking_train_subject(marker, seconds):
+    """Stands in for train_subject: sleeps, leaves a marker file and returns its arguments; `crash` kills the worker."""
+    if marker == "crash":
+        os._exit(1)
+    time.sleep(seconds)
+    open(marker, "w").close()
+    return marker, seconds
+
+
+def test_train_in_workers_yields_in_call_order_and_closes(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "train_subject", marking_train_subject)
+    calls = [(str(tmp_path / name), seconds) for name, seconds in (("a", 0.4), ("b", 0.0), ("c", 0.2), ("d", 0.0))]
+    assert list(train_in_workers(calls)) == calls
+    trained = train_in_workers(calls)
+    assert next(trained) == calls[0]
+    trained.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_train_in_workers_yields_a_call_s_exception_in_its_place():
+    env_config = EnvConfig(grid=parse_map("...G\n"))
+    rewards = RewardParams.default_for(env_config.horizon)
+    calls = [(algorithm, env_config, rewards, 10, np.random.default_rng(0)) for algorithm in ("astar", "dqn", "astar")]
+    first, failed, last = train_in_workers(calls)
+    assert isinstance(failed, ConfigError) and "unknown algorithm 'dqn'" in str(failed)
+    assert first[0].probs.tolist() == last[0].probs.tolist() == astar_policy(env_config.grid).probs.tolist()
+
+
+def test_train_in_workers_yields_only_while_fewer_calls_than_workers_are_unfinished(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "train_subject", marking_train_subject)
+    # The first call finishes at once; the rest keep the workers busy for a while.
+    calls = [(str(tmp_path / str(k)), 0.0 if k == 0 else 0.3) for k in range(6)]
+    for got, call in zip(train_in_workers(calls), calls):
+        assert got == call
+        # A call leaves its marker before the pool sees it finish, so this undercounts unfinished calls.
+        assert len(calls) - len(list(tmp_path.iterdir())) < min(os.cpu_count() or 1, len(calls))
+
+
+class Abandoned(BaseException):
+    """Raised from a signal handler, as KeyboardInterrupt is on Ctrl-C."""
+
+
+def abandon(signum, frame):
+    raise Abandoned
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_abandoning_train_in_workers_cancels_the_queued_calls(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "train_subject", marking_train_subject)
+    calls = [(str(tmp_path / str(k)), 0.5) for k in range(12)]
+    previous = signal.signal(signal.SIGALRM, abandon)
+    try:
+        # The timer fires while the caller waits for the first call, as a Ctrl-C would.
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Abandoned):
+            next(train_in_workers(calls))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    # Only the calls already running or handed to a worker's queue ran.
+    assert len(list(tmp_path.iterdir())) < len(calls)
+
+
+def test_train_in_workers_yields_every_call_when_the_pool_breaks(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench, "train_subject", marking_train_subject)
+    calls = [(str(tmp_path / "a"), 0.0), ("crash", 0.0), *((str(tmp_path / str(k)), 0.2) for k in range(3))]
+    outcomes = list(train_in_workers(calls))
+    assert len(outcomes) == len(calls)
+    assert isinstance(outcomes[1], BrokenProcessPool)
+    assert all(got == call or isinstance(got, BrokenProcessPool) for got, call in zip(outcomes, calls))
+    assert multiprocessing.active_children() == []
+
+
+def test_train_in_workers_learners_equal_direct_training():
+    """The route acceptance 7 takes: pooled learners equal the learners trained in this process."""
+    grid = generate_map(10, 10, 0.1, np.random.default_rng([7, 10]))
+    env_config = EnvConfig(grid=grid, num_agents=2, horizon=80)
+    rewards = RewardParams(step_penalty=1.0, goal_reward=800.0, collision_penalty=100.0, horizon=80, gamma=0.97)
+    budget = 300
+    calls = [(name, env_config, rewards, budget, np.random.default_rng(0)) for name in ("qlearning", "montecarlo")]
+    (qlearning, _), (montecarlo, _) = train_in_workers(calls)
+    params = LearnerParams(episodes=budget)
+    assert qlearning.probs.tobytes() == qlearning_train(env_config, rewards, params, np.random.default_rng(0)).probs.tobytes()
+    assert montecarlo.probs.tobytes() == monte_carlo_train(env_config, rewards, params, np.random.default_rng(0)).probs.tobytes()
+    assert qlearning.cells == montecarlo.cells == grid.free_cells()
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,7 @@ def assert_advance_matches_pairwise_rounds(pre, final, active, events, num_cells
     """GridEnv.advance, one episode at a time, equals resolve_conflicts_pairwise: same cells and event codes.
 
     The env is a strip of num_cells free cells plus a goal no move
-    reaches; its move table is rewritten so that action UP takes each
+    reaches; its fused move table is rewritten so that action UP takes each
     live agent from pre to final with its MOVED or BLOCKED event.
     """
     want_events = events.copy()
@@ -399,8 +399,7 @@ def assert_advance_matches_pairwise_rounds(pre, final, active, events, num_cells
     for b in range(len(pre)):
         live = np.flatnonzero(active[b])
         for i in live:
-            env._target[pre[b, i]][Action.UP] = int(final[b, i])
-            env._move_event[pre[b, i]][Action.UP] = int(events[b, i])
+            env._move[pre[b, i]][Action.UP] = (int(final[b, i]), int(events[b, i]))
         got, got_events = env.advance(pre[b, live].tolist(), [Action.UP] * len(live), np.random.default_rng(0))
         assert got == want[b, live].tolist()
         assert got_events == want_events[b, live].tolist()
