@@ -82,6 +82,14 @@ class TabularPolicy:
             self._cum_rows = rows.tolist()
         return list(map(bisect_right, map(self._cum_rows.__getitem__, cells), rng.random(len(cells)).tolist()))
 
+    @cached_property
+    def deterministic(self) -> bool:
+        """Whether sample_actions ignores its uniforms on every cell in self.cells (evaluate checks they
+        cover the map): no cumulative bound but STAY's lies strictly inside (0, 1), so bisect_right
+        returns one action for every u in [0, 1).  load_policy's uniform filler rows lie outside them."""
+        bounds = self.cumulative()[[c.y for c in self.cells], [c.x for c in self.cells], :-1]
+        return not ((bounds > 0.0) & (bounds < 1.0)).any()
+
     def greedy(self) -> "TabularPolicy":
         """Deterministic policy: all mass on each row's argmax (first wins ties)."""
         best = np.argmax(self.probs, axis=2)

@@ -11,13 +11,17 @@ Both steppers work on flat cell indices (y * width + x) through one
 steps one episode's live agents and re-checks only cells a revert
 touches; `episode_steps` plays an episode on it with one choose call
 per step, for `run_episode` (one block of uniforms per step) and
-Q-learning.  `roll_batch` rolls many episodes at once with the same
-rules and draws.  `GridEnv.step` is advance on `AgentStatus`s.
+Q-learning.  Under a one-hot policy at slip 0, `run_episode` stops
+stepping once the live agents' cells repeat and replays the cycle to the
+horizon, with unchanged outputs and generator state.  `roll_batch` rolls
+many episodes at once with the same rules and draws.  `GridEnv.step` is
+advance on `AgentStatus`s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import cycle, islice
 from operator import ne
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple
 
@@ -420,17 +424,34 @@ def run_episode(
     policy is anything with a `sample_actions(cells, rng) -> actions`
     method, called once per step with the live agents' flat cells; a
     TabularPolicy takes one block of uniforms, one per agent in order.
+    A policy whose `deterministic` is true is one-hot on every cell an
+    agent may stand on, so at slip 0 a step depends only on the live cells
+    it starts from.  Once those repeat, the episode stops stepping, repeats
+    each live agent's last cycle of cells, actions and events up to the
+    horizon, and draws the skipped steps' uniforms in one call.
     """
     state = env.reset(rng) if initial_state is None else initial_state
     record = [([env.index(st.cell)], [], []) for st in state]  # cells, actions, events per agent
-    steps = 0
+    horizon, steps = env.config.horizon, 0
+    # The step after which each tuple of live cells was first seen, when steps can repeat.
+    seen = {} if env.config.slip_probability == 0.0 and getattr(policy, "deterministic", False) else None
     played = episode_steps(env, state, lambda cells: policy.sample_actions(cells, rng), rng)
-    for steps, (agents, _, actions, after, events) in enumerate(played, 1):
+    for steps, (agents, before, actions, after, events) in enumerate(played, 1):
         for i, action, cell, event in zip(agents, actions, after, events):
             cells, acts, evs = record[i]
             cells.append(cell)
             acts.append(action)
             evs.append(event)
+        if seen is not None:
+            first = seen.setdefault(tuple(before), steps - 1)
+            if first < steps - 1:  # this step replays step first + 1, and so on to the horizon
+                period, rest = steps - 1 - first, horizon - steps
+                for i in agents:
+                    for column in record[i]:
+                        column.extend(islice(cycle(column[-period:]), rest))
+                rng.random(rest * len(agents))
+                steps = horizon
+                break
     # Recording stops on a goal, so an agent ends on one only by reaching it.
     trajectories = [_trajectory(env, *r, env._goal[r[0][-1]]) for r in record]
     return EpisodeRollout(trajectories=trajectories, steps=steps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -724,3 +725,38 @@ def test_trajectory_log_contents(tmp_path):
     traj = rollout.trajectories[0]
     machine = reach_avoid_machine(rewards)
     assert rewards_sum == valuate(machine.weights(traj.observations()), SUM)
+
+
+class SteppedTable(TabularPolicy):
+    """A TabularPolicy that run_episode steps to the horizon, as if it could not replay a cycle."""
+
+    deterministic = False
+
+
+def test_evaluate_replays_a_crowd_as_it_steps_it(monkeypatch):
+    """A* at 16 agents on a 20x20 map: the same metrics whether episodes replay their cycles or not,
+    and the replayed steps hold conflicts, so reverts repeat inside the cycles."""
+    grid = generate_map(20, 20, 0.1, np.random.default_rng([3, 20]))
+    config = EnvConfig(grid=grid, num_agents=16)
+    policy = astar_policy(grid)
+    calls = []
+    sample = policy.sample_actions
+    policy.sample_actions = lambda cells, rng: calls.append(len(cells)) or sample(cells, rng)
+    replayed = []  # (rollout, steps taken) per episode
+
+    def recorded(*args, **kwargs):
+        before = len(calls)
+        rollout = run_episode(*args, **kwargs)
+        replayed.append((rollout, len(calls) - before))
+        return rollout
+
+    monkeypatch.setattr(bench, "run_episode", recorded)
+    got = evaluate(policy, config, 30, np.random.default_rng(11))
+    monkeypatch.undo()
+    want = evaluate(SteppedTable(grid.width, grid.height, policy.probs, policy.cells), config, 30,
+                    np.random.default_rng(11))
+    assert dataclasses.replace(got, eval_seconds=0.0) == dataclasses.replace(want, eval_seconds=0.0)
+    assert sum(taken for _, taken in replayed) < sum(rollout.steps for rollout, _ in replayed)
+    conflicts_replayed = sum(ev in CONFLICT_EVENTS for rollout, taken in replayed
+                             for traj in rollout.trajectories for ev in traj.events[taken:])
+    assert conflicts_replayed > 0

@@ -89,6 +89,33 @@ def test_greedy_puts_all_mass_on_the_argmax():
     assert list(greedy.action_probs(Cell(0, 0))) == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
+def test_deterministic_reads_whether_every_row_is_one_hot(tmp_path):
+    from evomapf.bench import astar_policy
+
+    grid = parse_map("..#.\n.#.G\n....\n")
+    greedy = random_policy(grid, 3, 0.0).greedy()
+    path = str(tmp_path / "greedy.txt")
+    save_policy(greedy, path)
+    loaded, _ = load_policy(path)
+    # load_policy fills the unlisted obstacle cells with uniform rows, which do not count.
+    assert np.allclose(loaded.action_probs(Cell(2, 0)), 0.2)
+    half, last = TabularPolicy.uniform(STRIP).greedy(), TabularPolicy.uniform(STRIP).greedy()
+    half.probs[0, 2] = [0.5, 0.5, 0.0, 0.0, 0.0]
+    last.probs[0, 2] = [0.0, 0.0, 0.0, 0.5, 0.5]
+    truth = {
+        "greedy": (greedy, True),
+        "astar_policy": (astar_policy(grid), True),
+        "greedy round trip": (loaded, True),
+        "uniform": (TabularPolicy.uniform(grid), False),
+        "greedy mixed 0.05": (mix_with_uniform(greedy, 0.05), False),
+        "row [0.5, 0.5, 0, 0, 0]": (half, False),
+        "row [0, 0, 0, 0.5, 0.5]": (last, False),
+    }
+    assert {name: policy.deterministic for name, (policy, _) in truth.items()} == {
+        name: want for name, (_, want) in truth.items()
+    }
+
+
 def test_sample_action_is_seed_deterministic():
     policy = TabularPolicy.uniform(STRIP)
     a = [policy.sample_action(Cell(0, 0), np.random.default_rng(4)) for _ in range(5)]

@@ -598,3 +598,86 @@ def test_run_episode_equals_the_cell_level_loop(num_agents, slip, sampler):
                          for ev in t.events)
     assert got_rng.random() == want_rng.random()
     assert conflicts > 0 or num_agents == 1
+
+
+# ---------------------------------------------------------------------------
+# replaying the cycle of a deterministic episode
+
+
+class Stepped:
+    """A policy's sample_actions without its `deterministic` attribute, so run_episode takes every step."""
+
+    def __init__(self, sample_actions):
+        self.sample_actions = sample_actions
+
+
+def counting(policy):
+    """Make policy record the live cells of each sample_actions call; returns the list of them."""
+    calls, sample = [], policy.sample_actions
+    policy.sample_actions = lambda cells, rng: calls.append(list(cells)) or sample(cells, rng)
+    return calls
+
+
+@st.composite
+def one_hot_worlds(draw):
+    """A generated map of size 5-20, 1-8 agents and a one-hot policy on it: A*'s or a random table."""
+    from evomapf.bench import astar_policy, generate_map
+    from evomapf.egt import TabularPolicy
+
+    width, height = draw(st.integers(5, 20)), draw(st.integers(5, 20))
+    density = draw(st.sampled_from([0.0, 0.1, 0.2]))
+    grid = generate_map(width, height, density, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    num_agents = draw(st.integers(1, min(8, len(grid.starts))))
+    if draw(st.booleans()):
+        policy = astar_policy(grid)
+    else:
+        moves = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(5, size=(height, width))
+        policy = TabularPolicy(width, height, np.eye(5)[moves], grid.free_cells())
+    return grid, num_agents, policy
+
+
+@given(world=one_hot_worlds(), slip=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_run_episode_replays_a_repeated_state_as_stepping_would(world, slip, seed):
+    """A one-hot policy gives the rollout and next draw of the stepping loop; at slip 0.2 it steps every step."""
+    grid, num_agents, policy = world
+    env = GridEnv(EnvConfig(grid=grid, num_agents=num_agents, slip_probability=slip))
+    stepped_policy = Stepped(policy.sample_actions)
+    calls = counting(policy)
+    assert policy.deterministic
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run_episode(env, policy, got_rng)
+    want = run_episode(env, stepped_policy, want_rng)
+    assert got.steps == want.steps
+    assert got.trajectories == want.trajectories
+    assert got_rng.random() == want_rng.random()
+    if slip > 0.0:
+        assert len(calls) == got.steps
+
+
+def test_run_episode_stops_stepping_once_the_live_cells_repeat():
+    """Two agents pace back and forth in period 2 and a third parks on a goal: the episode steps
+    until the live cells repeat, one step into the cycle's second lap, and replays the rest."""
+    from evomapf.egt import TabularPolicy
+
+    grid = parse_map("....\n...G\n")
+    moves = np.array([[Action.RIGHT, Action.LEFT, Action.STAY, Action.DOWN],
+                      [Action.RIGHT, Action.LEFT, Action.RIGHT, Action.STAY]])
+    policy = TabularPolicy(4, 2, np.eye(5)[moves], grid.free_cells())
+    env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=11))
+    calls = counting(policy)
+    rng = np.random.default_rng(8)
+    rollout = run_episode(env, policy, rng, initial_state=tuple(map(AgentStatus, [Cell(0, 0), Cell(0, 1), Cell(3, 0)])))
+    # The third agent reaches the goal at step 1, so (1, 5), first met after it, recurs before step 4.
+    assert calls == [[0, 4, 3], [1, 5], [0, 4], [1, 5]]
+    assert rollout.steps == 11
+    pacer, lower, parked = rollout.trajectories
+    assert pacer.cells == [Cell(x, 0) for x in [0, 1] * 6]
+    assert lower.cells == [Cell(x, 1) for x in [0, 1] * 6]
+    assert pacer.actions == [Action.RIGHT, Action.LEFT] * 5 + [Action.RIGHT]
+    assert set(pacer.events) == {StepEvent.MOVED} and len(pacer.events) == 11
+    assert parked.cells == [Cell(3, 0), Cell(3, 1)] and parked.reached
+    # Three uniforms at step 1, then two for each of the ten steps that follow.
+    want = np.random.default_rng(8)
+    want.random(3 + 2 * 10)
+    assert rng.random() == want.random()
