@@ -143,18 +143,6 @@ def qlearning_table(
     return np.array(q).reshape(grid.height, grid.width, NUM_ACTIONS)
 
 
-def qlearning_train(
-    env_config: EnvConfig,
-    rewards: RewardParams,
-    params: LearnerParams,
-    rng: np.random.Generator,
-) -> TabularPolicy:
-    """Greedy policy over the learned Q-table."""
-    grid = env_config.grid
-    q = qlearning_table(env_config, rewards, params, rng)
-    return TabularPolicy(grid.width, grid.height, q, grid.free_cells()).greedy()
-
-
 def monte_carlo_table(
     env_config: EnvConfig,
     rewards: RewardParams,
@@ -219,17 +207,13 @@ def credit_first_visits(
     np.add.at(counts, slot, 1)
 
 
-def monte_carlo_train(
-    env_config: EnvConfig,
-    rewards: RewardParams,
-    params: LearnerParams,
-    rng: np.random.Generator,
-) -> TabularPolicy:
-    """Greedy policy over the Monte-Carlo value estimates."""
+# The tabular learners by algorithm name; each returns its (H, W, A) Q-values.
+LEARNERS = {"qlearning": qlearning_table, "montecarlo": monte_carlo_table}
+
+
+def learn(algorithm: str, env_config: EnvConfig, rewards: RewardParams, params: LearnerParams,
+          rng: np.random.Generator) -> TabularPolicy:
+    """Train the named learner; returns the greedy policy over its Q-values."""
     grid = env_config.grid
-    q = monte_carlo_table(env_config, rewards, params, rng)
+    q = LEARNERS[algorithm](env_config, rewards, params, rng)
     return TabularPolicy(grid.width, grid.height, q, grid.free_cells()).greedy()
-
-
-# The tabular learners by algorithm name; each returns a greedy policy.
-LEARNERS = {"qlearning": qlearning_train, "montecarlo": monte_carlo_train}

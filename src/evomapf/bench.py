@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .automaton import RewardParams, RewardMachine
-from .baselines import LEARNERS, LearnerParams, astar
+from .baselines import LEARNERS, LearnerParams, astar, learn
 from .egt import NUM_ACTIONS, TabularPolicy, TrainConfig, train
 from .gridworld import (
     ACTION_DELTAS,
@@ -31,7 +31,6 @@ from .gridworld import (
     EpisodeRollout,
     GridEnv,
     GridMap,
-    JointState,
     run_episode,
 )
 
@@ -99,10 +98,10 @@ def astar_policy(grid: GridMap) -> TabularPolicy:
     return TabularPolicy(grid.width, grid.height, np.eye(NUM_ACTIONS)[moves], cells)
 
 
-def plan_rollout(env: GridEnv, rng: np.random.Generator, initial_state: JointState | None = None) -> EpisodeRollout:
+def plan_rollout(env: GridEnv, rng: np.random.Generator, starts: list[int] | None = None) -> EpisodeRollout:
     """run_episode under astar_policy; kept only because perfbench's suite-small patches
     `bench.plan_rollout` and its `--trace 1` spans it.  Benchmark v2 (ROADMAP item 1) deletes it."""
-    return run_episode(env, astar_policy(env.grid), rng, initial_state)
+    return run_episode(env, astar_policy(env.grid), rng, starts)
 
 
 def evaluate(
@@ -144,8 +143,8 @@ def evaluate(
     conflicts = 0
     started = time.perf_counter()
     for reset_seed, action_seed in seeds:
-        state = env.reset(np.random.default_rng(int(reset_seed)))
-        rollout = run_episode(env, policy, np.random.default_rng(int(action_seed)), initial_state=state)
+        starts = env.reset(np.random.default_rng(int(reset_seed)))
+        rollout = run_episode(env, policy, np.random.default_rng(int(action_seed)), starts)
         for traj in rollout.trajectories:
             agent_episodes += 1
             if traj.reached:
@@ -305,7 +304,7 @@ def train_subject(
         )
         subject = train(config, rng).policy.greedy()
     elif algorithm in LEARNERS:
-        subject = LEARNERS[algorithm](env_config, rewards, LearnerParams(episodes=train_episodes), rng)
+        subject = learn(algorithm, env_config, rewards, LearnerParams(episodes=train_episodes), rng)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {list(ALGORITHMS)}")
     return subject, time.perf_counter() - started
@@ -338,7 +337,8 @@ def train_in_workers(calls: list[tuple]) -> Iterator[tuple[TabularPolicy, float]
     """Run train_subject(*call) for each call in worker processes, one per CPU at most; yield
     each result or exception in call order.  A call is yielded once it has finished and fewer
     calls are unfinished than there are workers, so the caller's work between yields runs on a
-    CPU no worker uses.  Abandoning the generator cancels the queued calls; no worker outlives it.
+    CPU no worker uses.  Abandoning the generator cancels the queued calls; the running ones, and one
+    the executor has already fed to its call queue, finish before it returns.  No worker outlives it.
     """
     # Imported here: multiprocessing adds about 1.4 MB to every process that imports this module.
     from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .baselines import LEARNERS
+from .baselines import learn
 from .bench import METRIC_FORMATS, evaluate, generate_map, metrics_row, run_suite, write_csv
 from .config import TRAINABLE_ALGORITHMS, RunConfig, load_config
 from .egt import load_policy, save_policy, train
@@ -73,7 +73,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         params = config.build_learner_params()
         started = time.perf_counter()
-        policy = LEARNERS[algorithm](env, rewards, params, rng)
+        policy = learn(algorithm, env, rewards, params, rng)
         header.update(_echo("train", params, ("episodes",)))
         outcome = {"episodes": params.episodes, "wall_clock_seconds": time.perf_counter() - started}
 

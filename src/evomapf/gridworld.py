@@ -14,8 +14,8 @@ per step, for `run_episode` (one block of uniforms per step) and
 Q-learning.  Under a one-hot policy at slip 0, `run_episode` stops
 stepping once the live agents' cells repeat and replays the cycle to the
 horizon, with unchanged outputs and generator state.  `roll_batch` rolls
-many episodes at once with the same rules and draws.  `GridEnv.step` is
-advance on `AgentStatus`s.
+many episodes at once with the same rules and draws.  An agent is its flat
+cell from `reset` on; `GridEnv.step` is advance on the live agents' `Cell`s.
 """
 from __future__ import annotations
 
@@ -219,27 +219,16 @@ class EnvConfig:
             raise ConfigError("slip_probability must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class AgentStatus:
-    cell: Cell
-    reached: bool = False
-    active: bool = True
-
-
-JointState = tuple[AgentStatus, ...]
-
-
 class GridEnv:
-    """Stateless stepper over a fixed EnvConfig; the joint state is a value."""
+    """Stateless stepper over a fixed EnvConfig; agents are flat cell indices (y * width + x)."""
 
     def __init__(self, config: EnvConfig):
         self.config = config
         self.grid = grid = config.grid
-        self.start_cells = sorted(grid.starts)
         # Flat-index tables; cell index c = y * width + x.
         w, h = grid.width, grid.height
         self.cells = [Cell(c % w, c // w) for c in range(w * h)]
-        self.start_index = np.array([self.index(c) for c in self.start_cells], dtype=np.intp)
+        self.start_index = np.array([self.index(c) for c in sorted(grid.starts)], dtype=np.intp)
         self.goal_mask = np.zeros(w * h, dtype=bool)
         self.goal_mask[[self.index(c) for c in grid.goals]] = True
         free = np.ones(w * h, dtype=bool)
@@ -264,11 +253,9 @@ class GridEnv:
     def index(self, cell: Cell) -> int:
         return cell.y * self.grid.width + cell.x
 
-    def reset(self, rng: np.random.Generator) -> JointState:
-        """Place agents uniformly at random on distinct start cells."""
-        starts = self.start_cells
-        picks = rng.choice(len(starts), size=self.config.num_agents, replace=False)
-        return tuple(AgentStatus(starts[int(i)]) for i in picks)
+    def reset(self, rng: np.random.Generator) -> list[int]:
+        """The flat cells of agents placed uniformly at random on distinct start cells."""
+        return self.start_index[rng.choice(len(self.start_index), size=self.config.num_agents, replace=False)].tolist()
 
     def advance(self, pre: list[int], actions: list[int], rng: np.random.Generator) -> tuple[list[int], list[int]]:
         """Move the live agents one step from their distinct flat cells pre; returns their cells and event codes.
@@ -318,21 +305,15 @@ class GridEnv:
             check = [entering[pre[i]] for i in reverted if pre[i] in entering]
         return final, [_REACHED if goal[c] else ev for c, ev in zip(final, events)]
 
-    def step(
-        self, state: JointState, actions: list[Action], rng: np.random.Generator
-    ) -> tuple[JointState, list[StepEvent]]:
-        """One advance of a JointState: returns the new state and one StepEvent per agent."""
+    def step(self, cells: list[Cell], actions: list[Action],
+             rng: np.random.Generator) -> tuple[list[Cell], list[StepEvent]]:
+        """advance on the live agents' Cells: returns their new Cells and one StepEvent each."""
         n = self.config.num_agents
-        if len(state) != n or len(actions) != n:
-            raise ConfigError(f"expected {n} agents, got state={len(state)} actions={len(actions)}")
-        live = [i for i, st in enumerate(state) if st.active]
-        final, events = self.advance([self.index(state[i].cell) for i in live], [actions[i] for i in live], rng)
-        cells, codes = [st.cell for st in state], [_INACTIVE] * n
-        for i, c, ev in zip(live, final, events):
-            cells[i], codes[i] = self.cells[c], ev
-        new_state = tuple(AgentStatus(c, st.reached or ev == _REACHED, st.active and ev != _REACHED)
-                          for st, c, ev in zip(state, cells, codes))
-        return new_state, [STEP_EVENTS[ev] for ev in codes]
+        if len(cells) != len(actions) or len(cells) > n:
+            raise ConfigError(f"expected one action for each of at most {n} agents, "
+                              f"got cells={len(cells)} actions={len(actions)}")
+        final, events = self.advance([self.index(c) for c in cells], actions, rng)
+        return [self.cells[c] for c in final], [STEP_EVENTS[ev] for ev in events]
 
 
 @dataclass
@@ -372,10 +353,6 @@ class EpisodeRollout:
     trajectories: list[AgentTrajectory]
     steps: int
 
-    @property
-    def all_reached(self) -> bool:
-        return all(t.reached for t in self.trajectories)
-
 
 def _trajectory(
     env: GridEnv, cells: list[int], actions: list[int], events: list[int], reached: bool
@@ -390,20 +367,20 @@ def _trajectory(
 
 
 def episode_steps(
-    env: GridEnv, state: JointState, choose: Callable[[list[int]], list[int]], rng: np.random.Generator
+    env: GridEnv, starts: list[int], choose: Callable[[list[int]], list[int]], rng: np.random.Generator
 ) -> Iterator[tuple[list[int], list[int], list[int], list[int], list[int]]]:
-    """Play one episode from state, yielding (agents, before, actions, after, events) per step.
+    """Play one episode from the flat start cells, yielding (agents, before, actions, after, events) per step.
 
     A step covers the live agents only: agents holds their indices into
-    state, in order, and the other lists one flat cell, action or event
-    code each.  An agent inactive in state or placed on a goal is done at
-    t = 0, and one that reaches a goal drops out after that step.
+    starts, in order, and the other lists one flat cell, action or event
+    code each.  An agent placed on a goal is done at t = 0, and one that
+    reaches a goal drops out after that step.
     choose(cells) -> actions is called once per step with the live
     agents' cells, after the previous step has been yielded.  The episode
     ends at the horizon or once no agent is live.
     """
-    agents = [i for i, st in enumerate(state) if st.active and not env._goal[env.index(st.cell)]]
-    pre = [env.index(state[i].cell) for i in agents]
+    agents = [i for i, c in enumerate(starts) if not env._goal[c]]
+    pre = [starts[i] for i in agents]
     for _ in range(env.config.horizon):
         if not agents:
             return
@@ -417,9 +394,10 @@ def episode_steps(
 
 
 def run_episode(
-    env: GridEnv, policy, rng: np.random.Generator, initial_state: JointState | None = None
+    env: GridEnv, policy, rng: np.random.Generator, starts: list[int] | None = None
 ) -> EpisodeRollout:
-    """Roll one episode; ends at the horizon or once every agent has reached a goal.
+    """Roll one episode from the flat start cells, or from env.reset(rng); ends at the horizon
+    or once every agent has reached a goal.
 
     policy is anything with a `sample_actions(cells, rng) -> actions`
     method, called once per step with the live agents' flat cells; a
@@ -430,12 +408,12 @@ def run_episode(
     each live agent's last cycle of cells, actions and events up to the
     horizon, and draws the skipped steps' uniforms in one call.
     """
-    state = env.reset(rng) if initial_state is None else initial_state
-    record = [([env.index(st.cell)], [], []) for st in state]  # cells, actions, events per agent
+    starts = env.reset(rng) if starts is None else starts
+    record = [([c], [], []) for c in starts]  # cells, actions, events per agent
     horizon, steps = env.config.horizon, 0
     # The step after which each tuple of live cells was first seen, when steps can repeat.
     seen = {} if env.config.slip_probability == 0.0 and getattr(policy, "deterministic", False) else None
-    played = episode_steps(env, state, lambda cells: policy.sample_actions(cells, rng), rng)
+    played = episode_steps(env, starts, lambda cells: policy.sample_actions(cells, rng), rng)
     for steps, (agents, before, actions, after, events) in enumerate(played, 1):
         for i, action, cell, event in zip(agents, actions, after, events):
             cells, acts, evs = record[i]

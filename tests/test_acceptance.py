@@ -37,7 +37,6 @@ from evomapf.egt import (
 )
 from evomapf.gridworld import (
     Action,
-    AgentStatus,
     Cell,
     COLLISION_EVENTS,
     EnvConfig,
@@ -135,7 +134,7 @@ def test_02_positive_weight_implies_clean_goal_runs():
                 env,
                 ScriptPolicy(script),
                 np.random.default_rng(0),
-                initial_state=(AgentStatus(start),),
+                starts=[env.index(start)],
             )
             traj = rollout.trajectories[0]
             total_weight = valuate(machine.weights(traj.observations()), SUM)
@@ -283,9 +282,7 @@ def test_05_near_optimal_paths_on_an_open_grid():
     for pick in picks:
         start = starts[int(pick)]
         optimal = len(astar(grid, start)) - 1
-        rollout = run_episode(
-            env, greedy, np.random.default_rng(0), initial_state=(AgentStatus(start),)
-        )
+        rollout = run_episode(env, greedy, np.random.default_rng(0), starts=[env.index(start)])
         arrival = rollout.trajectories[0].arrival_time
         if arrival is not None and arrival <= 1.2 * optimal:
             near_optimal += 1

@@ -13,18 +13,16 @@ from evomapf.baselines import (
     LearnerParams,
     astar,
     credit_first_visits,
+    learn,
     manhattan,
     monte_carlo_table,
-    monte_carlo_train,
     qlearning_table,
-    qlearning_train,
 )
 from evomapf.bench import generate_map
 from evomapf.egt import TabularPolicy
 from evomapf.gridworld import (
     COLLISION_EVENTS,
     Action,
-    AgentStatus,
     Cell,
     ConfigError,
     EnvConfig,
@@ -49,9 +47,7 @@ def empty_grid_with_goal(width, height, goal):
 
 def greedy_rollout_length(policy, grid, start, horizon):
     env = GridEnv(EnvConfig(grid=grid, num_agents=1, horizon=horizon))
-    rollout = run_episode(
-        env, policy, np.random.default_rng(0), initial_state=(AgentStatus(start),)
-    )
+    rollout = run_episode(env, policy, np.random.default_rng(0), starts=[env.index(start)])
     traj = rollout.trajectories[0]
     return traj.arrival_time if traj.reached else None
 
@@ -117,7 +113,8 @@ STRIP_REWARDS = RewardParams(step_penalty=1.0, goal_reward=60.0, collision_penal
 
 
 def test_qlearning_walks_the_strip_right():
-    policy = qlearning_train(
+    policy = learn(
+        "qlearning",
         EnvConfig(grid=STRIP, horizon=6),
         STRIP_REWARDS,
         LearnerParams(episodes=500),
@@ -158,7 +155,8 @@ def test_qlearning_is_seed_deterministic():
 def test_monte_carlo_walks_the_strip_right():
     # First-visit averages weigh every episode ever seen, so the table needs
     # noticeably more episodes than the TD learner before the argmax settles.
-    policy = monte_carlo_train(
+    policy = learn(
+        "montecarlo",
         EnvConfig(grid=STRIP, horizon=6),
         STRIP_REWARDS,
         LearnerParams(episodes=8000),
@@ -272,7 +270,7 @@ def greedy_outcomes(policy):
     return [n is not None for n in lengths], [n == want for n, want in zip(lengths, shortest)]
 
 
-def astar_length_rate(learner, params, seeds) -> float:
+def astar_length_rate(algorithm, params, seeds) -> float:
     """Share of (seed, start) pairs on an open 4x4 grid whose greedy rollout takes the A* length.
 
     Seed s trains on default_rng([s, 77]); every start is then rolled greedily.
@@ -280,7 +278,7 @@ def astar_length_rate(learner, params, seeds) -> float:
     env_config = EnvConfig(grid=OPEN_GRID, horizon=16)
     hits = []
     for seed in seeds:
-        policy = learner(env_config, RewardParams.default_for(16), params, np.random.default_rng([seed, 77]))
+        policy = learn(algorithm, env_config, RewardParams.default_for(16), params, np.random.default_rng([seed, 77]))
         assert isinstance(policy, TabularPolicy)
         hits += greedy_outcomes(policy)[1]
     return sum(hits) / len(hits)
@@ -290,39 +288,43 @@ def astar_length_rate(learner, params, seeds) -> float:
 # seeds 0-39 Q-learning scored 0.963 and Monte-Carlo 0.708 (0.758 when it stepped
 # one episode at a time), with standard errors of a 20-seed mean of 0.012 and
 # 0.038; the bounds sit about five and about three of them lower.
-ASTAR_RATES = {qlearning_train: (2000, 0.90), monte_carlo_train: (4000, 0.60)}
+ASTAR_RATES = {"qlearning": (2000, 0.90), "montecarlo": (4000, 0.60)}
 
 
 def test_learners_reach_astar_lengths_on_an_open_grid():
-    for learner, (episodes, least) in ASTAR_RATES.items():
-        rate = astar_length_rate(learner, LearnerParams(episodes=episodes), range(20))
-        assert rate >= least, (learner.__name__, rate)
+    for algorithm, (episodes, least) in ASTAR_RATES.items():
+        rate = astar_length_rate(algorithm, LearnerParams(episodes=episodes), range(20))
+        assert rate >= least, (algorithm, rate)
 
 
 def test_a_learner_without_updates_misses_the_astar_rate():
     # A zero learning rate leaves Q at zero, so the greedy policy always moves up,
     # however many episodes it plays.
     params = LearnerParams(episodes=1, learning_rate=0.0)
-    assert astar_length_rate(qlearning_train, params, range(20)) < ASTAR_RATES[qlearning_train][1]
+    assert astar_length_rate("qlearning", params, range(20)) < ASTAR_RATES["qlearning"][1]
 
 
 # ---------------------------------------------------------------------------
 # both learners against Cell-level reference loops
 
 
-def reference_steps(env, state, choose, rng):
-    """One episode through GridEnv.step: (before, actions, after, events) per step."""
-    state = tuple(
-        AgentStatus(st.cell, reached=True, active=False) if st.active and st.cell in env.grid.goals else st
-        for st in state
-    )
+def reference_steps(env, starts, choose, rng):
+    """One episode from the flat start cells through GridEnv.step on the live agents.
+
+    Yields (agents, before, actions, after, events) per step: the live
+    agents' indices and one Cell, Action or StepEvent each.  An agent
+    placed on a goal is never live, and one that reaches a goal leaves.
+    """
+    agents = [i for i, c in enumerate(starts) if env.cells[c] not in env.grid.goals]
+    before = [env.cells[starts[i]] for i in agents]
     for _ in range(env.config.horizon):
-        if not any(st.active for st in state):
+        if not agents:
             return
-        actions = [choose(st.cell) if st.active else Action.STAY for st in state]
-        after, events = env.step(state, actions, rng)
-        yield state, actions, after, events
-        state = after
+        actions = [choose(cell) for cell in before]
+        after, events = env.step(before, actions, rng)
+        yield agents, before, actions, after, events
+        kept = [k for k, event in enumerate(events) if event is not StepEvent.REACHED_GOAL]
+        agents, before = [agents[k] for k in kept], [after[k] for k in kept]
 
 
 def reward_table(rewards):
@@ -361,15 +363,12 @@ def reference_qlearning_table(env_config, rewards, params, rng):
         return Action(int(np.argmax(q_learned[cell.y, cell.x])))
 
     for episode in reference_episodes(env, params, greedy, rng):
-        for before, actions, after, events in episode:
-            for i, st in enumerate(before):
-                if not st.active:
-                    continue
-                reward = reward_of(events[i])
-                nxt = after[i].cell
-                if events[i] is not StepEvent.REACHED_GOAL:
+        for _, before, actions, after, events in episode:
+            for here, action, nxt, event in zip(before, actions, after, events):
+                reward = reward_of(event)
+                if event is not StepEvent.REACHED_GOAL:
                     reward += rewards.gamma * q_learned[nxt.y, nxt.x].max()
-                cell = (st.cell.y, st.cell.x, actions[i])
+                cell = (here.y, here.x, action)
                 q_learned[cell] += params.learning_rate * (reward - q_learned[cell])
     return q_learned
 
@@ -393,11 +392,10 @@ def reference_monte_carlo_table(env_config, rewards, params, rng):
 
     for done, episode in enumerate(reference_episodes(env, params, greedy, rng), 1):
         steps = [[] for _ in range(env_config.num_agents)]
-        for before, actions, _, events in episode:
-            for i, st in enumerate(before):
-                if st.active:
-                    slot = (st.cell.y * grid.width + st.cell.x) * 5 + actions[i]
-                    steps[i].append((slot, reward_of(events[i])))
+        for agents, before, actions, _, events in episode:
+            for i, here, action, event in zip(agents, before, actions, events):
+                slot = (here.y * grid.width + here.x) * 5 + action
+                steps[i].append((slot, reward_of(event)))
         first_visit_credit(steps, rewards.gamma, sums, counts)
         if done % params.mc_batch == 0 or done == params.episodes:
             q = [total / n if n else 0.0 for total, n in zip(sums, counts)]

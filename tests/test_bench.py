@@ -15,7 +15,7 @@ import pytest
 
 from evomapf import bench
 from evomapf.automaton import SUM, RewardParams, reach_avoid_machine, valuate
-from evomapf.baselines import LearnerParams, astar, manhattan, monte_carlo_train, qlearning_train
+from evomapf.baselines import LearnerParams, astar, learn, manhattan
 from evomapf.bench import (
     ALGORITHMS,
     Metrics,
@@ -37,7 +37,6 @@ from evomapf.egt import TabularPolicy, TrainConfig, load_policy, save_policy, tr
 from evomapf.gridworld import (
     Action,
     ACTION_DELTAS,
-    AgentStatus,
     Cell,
     ConfigError,
     CONFLICT_EVENTS,
@@ -174,7 +173,7 @@ def test_astar_policy_walks_the_astar_path_from_every_free_cell():
         goals = {(g.x, g.y) for g in grid.goals}
         for cell in grid.free_cells():
             path = astar(grid, cell)
-            (traj,) = run_episode(env, policy, np.random.default_rng(0), initial_state=(AgentStatus(cell),)).trajectories
+            (traj,) = run_episode(env, policy, np.random.default_rng(0), starts=[env.index(cell)]).trajectories
             assert traj.cells == path
             assert traj.arrival_time == len(path) - 1 == bfs_path_length(size, size, obstacles, cell, goals)
 
@@ -233,21 +232,21 @@ class ReplayedPlan:
 
 def replayed_episode(env: GridEnv, rng: np.random.Generator) -> tuple[int, list[int], int]:
     """One episode of ReplayedPlan agents: (agent-episodes, arrival times, conflict events)."""
-    state = env.reset(rng)
-    plans = [ReplayedPlan(env.grid, st.cell) for st in state]
-    live = [i for i, st in enumerate(state) if st.cell not in env.grid.goals]
-    arrivals = [0] * (len(state) - len(live))
+    starts = env.reset(rng)
+    plans = [ReplayedPlan(env.grid, env.cells[c]) for c in starts]
+    live = [i for i, c in enumerate(starts) if env.cells[c] not in env.grid.goals]
+    arrivals = [0] * (len(starts) - len(live))
     conflicts = 0
 
     def choose(cells: list[int]) -> list[Action]:
         return [plans[i].next_action(env.cells[c]) for i, c in zip(live, cells)]
 
-    for t, (agents, _, _, _, events) in enumerate(episode_steps(env, state, choose, rng), 1):
+    for t, (agents, _, _, _, events) in enumerate(episode_steps(env, starts, choose, rng), 1):
         codes = [STEP_EVENTS[ev] for ev in events]
         conflicts += sum(ev in CONFLICT_EVENTS for ev in codes)
         arrivals += [t] * codes.count(StepEvent.REACHED_GOAL)
         live = [i for i, ev in zip(agents, codes) if ev is not StepEvent.REACHED_GOAL]
-    return len(state), arrivals, conflicts
+    return len(starts), arrivals, conflicts
 
 
 def test_astar_policy_matches_the_replay_in_distribution_under_slip():
@@ -692,8 +691,8 @@ def test_train_in_workers_learners_equal_direct_training():
     calls = [(name, env_config, rewards, budget, np.random.default_rng(0)) for name in ("qlearning", "montecarlo")]
     (qlearning, _), (montecarlo, _) = train_in_workers(calls)
     params = LearnerParams(episodes=budget)
-    assert qlearning.probs.tobytes() == qlearning_train(env_config, rewards, params, np.random.default_rng(0)).probs.tobytes()
-    assert montecarlo.probs.tobytes() == monte_carlo_train(env_config, rewards, params, np.random.default_rng(0)).probs.tobytes()
+    assert qlearning.probs.tobytes() == learn("qlearning", env_config, rewards, params, np.random.default_rng(0)).probs.tobytes()
+    assert montecarlo.probs.tobytes() == learn("montecarlo", env_config, rewards, params, np.random.default_rng(0)).probs.tobytes()
     assert qlearning.cells == montecarlo.cells == grid.free_cells()
 
 
@@ -705,12 +704,7 @@ def test_trajectory_log_contents(tmp_path):
     grid = parse_map("....G\n")
     rewards = RewardParams(step_penalty=1.0, goal_reward=60.0, collision_penalty=60.0, horizon=6)
     env = GridEnv(EnvConfig(grid=grid, horizon=6))
-    rollout = run_episode(
-        env,
-        ConstantPolicy(Action.RIGHT),
-        np.random.default_rng(0),
-        initial_state=(AgentStatus(Cell(0, 0)),),
-    )
+    rollout = run_episode(env, ConstantPolicy(Action.RIGHT), np.random.default_rng(0), starts=[0])
     path = str(tmp_path / "log.csv")
     write_trajectory_log(path, [rollout], reach_avoid_machine(rewards))
     lines = open(path).read().splitlines()

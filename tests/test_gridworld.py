@@ -12,7 +12,6 @@ from evomapf.gridworld import (
     ACTION_DELTAS,
     STEP_EVENTS,
     Action,
-    AgentStatus,
     Cell,
     ConfigError,
     EnvConfig,
@@ -145,8 +144,7 @@ def test_env_config_rejects_bad_slip():
 def test_reset_places_distinct_agents_on_start_cells():
     grid = parse_map("...G\n....\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=3))
-    state = env.reset(np.random.default_rng(11))
-    cells = [st_.cell for st_ in state]
+    cells = [env.cells[c] for c in env.reset(np.random.default_rng(11))]
     assert len(set(cells)) == 3
     assert all(c in grid.starts for c in cells)
 
@@ -159,10 +157,30 @@ def test_reset_is_deterministic_in_the_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("num_agents", [1, 2, 5])
+def test_reset_draws_sorted_starts_without_replacement(num_agents):
+    """reset's draw, rebuilt from the grid: every seeded episode starts from these cells."""
+    from evomapf.bench import generate_map
+
+    grids = [
+        parse_map("...G\n....\n"),
+        parse_map("S.#G\n.S..\nS..S\n#S..\n"),
+        generate_map(12, 9, 0.2, np.random.default_rng([3, 12])),
+        generate_map(20, 20, 0.1, np.random.default_rng([7, 20])),
+    ]
+    for grid in grids:
+        env = GridEnv(EnvConfig(grid=grid, num_agents=num_agents))
+        starts = sorted(grid.starts)
+        for seed in range(6):
+            picks = np.random.default_rng(seed).choice(len(starts), num_agents, replace=False)
+            want = [starts[i].y * grid.width + starts[i].x for i in picks]
+            assert env.reset(np.random.default_rng(seed)) == want
+
+
 def test_move_tables_agree_with_single_agent_steps():
     grid = parse_map("..#G\n.#..\n....\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=1))
-    assert env.start_cells == sorted(grid.starts)
+    assert [env.cells[c] for c in env.start_index] == sorted(grid.starts)
     assert [env.cells[i] for i in np.flatnonzero(env.goal_mask)] == sorted(grid.goals, key=lambda c: (c.y, c.x))
     obstacles = {(c.x, c.y) for c in grid.obstacles}
     for cell in grid.free_cells():
@@ -187,51 +205,45 @@ def _two_agent_env():
 
 def test_step_head_on_meeting_is_a_vertex_conflict():
     env = _two_agent_env()
-    state = (AgentStatus(Cell(0, 0)), AgentStatus(Cell(2, 0)))
-    new_state, events = env.step(state, [Action.RIGHT, Action.LEFT], np.random.default_rng(0))
+    cells, events = env.step([Cell(0, 0), Cell(2, 0)], [Action.RIGHT, Action.LEFT], np.random.default_rng(0))
     assert events == [StepEvent.VERTEX_CONFLICT, StepEvent.VERTEX_CONFLICT]
-    assert [s.cell for s in new_state] == [Cell(0, 0), Cell(2, 0)]
+    assert cells == [Cell(0, 0), Cell(2, 0)]
 
 
 def test_step_cell_exchange_is_a_swap_conflict():
     env = _two_agent_env()
-    state = (AgentStatus(Cell(0, 0)), AgentStatus(Cell(1, 0)))
-    new_state, events = env.step(state, [Action.RIGHT, Action.LEFT], np.random.default_rng(0))
+    cells, events = env.step([Cell(0, 0), Cell(1, 0)], [Action.RIGHT, Action.LEFT], np.random.default_rng(0))
     assert events == [StepEvent.SWAP_CONFLICT, StepEvent.SWAP_CONFLICT]
-    assert [s.cell for s in new_state] == [Cell(0, 0), Cell(1, 0)]
+    assert cells == [Cell(0, 0), Cell(1, 0)]
 
 
 def test_step_off_grid_blocks_in_place():
     env = _two_agent_env()
-    state = (AgentStatus(Cell(0, 0)), AgentStatus(Cell(2, 0)))
-    new_state, events = env.step(state, [Action.UP, Action.STAY], np.random.default_rng(0))
+    cells, events = env.step([Cell(0, 0), Cell(2, 0)], [Action.UP, Action.STAY], np.random.default_rng(0))
     assert events == [StepEvent.BLOCKED_BY_OBSTACLE, StepEvent.MOVED]
-    assert new_state[0].cell == Cell(0, 0)
+    assert cells[0] == Cell(0, 0)
 
 
 def test_step_into_obstacle_blocks_in_place():
     grid = parse_map(".#G\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=1))
-    state = (AgentStatus(Cell(0, 0)),)
-    _, events = env.step(state, [Action.RIGHT], np.random.default_rng(0))
+    _, events = env.step([Cell(0, 0)], [Action.RIGHT], np.random.default_rng(0))
     assert events == [StepEvent.BLOCKED_BY_OBSTACLE]
 
 
-def test_step_arrival_emits_reached_goal_and_despawns():
+def test_step_arrival_emits_reached_goal():
     env = _two_agent_env()
-    state = (AgentStatus(Cell(2, 0)), AgentStatus(Cell(0, 0)))
-    new_state, events = env.step(state, [Action.DOWN, Action.STAY], np.random.default_rng(0))
-    assert events[0] == StepEvent.REACHED_GOAL
-    assert new_state[0].reached and not new_state[0].active
-    # A despawned agent no longer moves or collides.
-    _, events = env.step(new_state, [Action.LEFT, Action.RIGHT], np.random.default_rng(0))
-    assert events[0] == StepEvent.INACTIVE
+    cells, events = env.step([Cell(2, 0), Cell(0, 0)], [Action.DOWN, Action.STAY], np.random.default_rng(0))
+    assert events == [StepEvent.REACHED_GOAL, StepEvent.MOVED]
+    assert cells == [Cell(2, 1), Cell(0, 0)]
 
 
 def test_step_rejects_mismatched_state_length():
     env = _two_agent_env()
-    with pytest.raises(ConfigError, match="expected 2 agents"):
-        env.step((AgentStatus(Cell(0, 0)),), [Action.STAY], np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="expected one action for each of at most 2 agents"):
+        env.step([Cell(0, 0), Cell(2, 0)], [Action.STAY], np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="got cells=3 actions=3"):
+        env.step([Cell(0, 0), Cell(1, 0), Cell(2, 0)], [Action.STAY] * 3, np.random.default_rng(0))
 
 
 def test_step_matches_joint_resolution_oracle_for_all_joint_actions():
@@ -247,17 +259,15 @@ def test_step_matches_joint_resolution_oracle_for_all_joint_actions():
         Action.STAY: "stay",
     }
     for a0, a1 in itertools.product(list(Action), repeat=2):
-        state = tuple(AgentStatus(Cell(*p)) for p in positions)
-        new_state, events = env.step(state, [a0, a1], np.random.default_rng(0))
+        cells, events = env.step([Cell(*p) for p in positions], [a0, a1], np.random.default_rng(0))
         want_pos, outcomes = resolve_joint_move(
             grid.width, grid.height, set(), positions, [names[a0], names[a1]]
         )
         for i in range(2):
-            if new_state[i].reached:
-                assert Cell(*want_pos[i]) in grid.goals
+            assert cells[i] == Cell(*want_pos[i]), (a0, a1, i)
+            if cells[i] in grid.goals:
                 assert events[i] == StepEvent.REACHED_GOAL
                 continue
-            assert new_state[i].cell == Cell(*want_pos[i]), (a0, a1, i)
             if outcomes[i] == "moved":
                 assert events[i] == StepEvent.MOVED
             elif outcomes[i] == "blocked":
@@ -286,8 +296,7 @@ def joint_moves(draw):
 def test_step_matches_joint_resolution_oracle_on_random_maps(case):
     grid, cells, actions = case
     env = GridEnv(EnvConfig(grid=grid, num_agents=len(cells)))
-    state = tuple(AgentStatus(c) for c in cells)
-    new_state, events = env.step(state, actions, np.random.default_rng(0))
+    new_cells, events = env.step(cells, actions, np.random.default_rng(0))
     want_pos, outcomes = resolve_joint_move(
         grid.width,
         grid.height,
@@ -295,12 +304,11 @@ def test_step_matches_joint_resolution_oracle_on_random_maps(case):
         [(c.x, c.y) for c in cells],
         [a.name.lower() for a in actions],
     )
-    for i, (after, event, outcome) in enumerate(zip(new_state, events, outcomes)):
-        assert after.cell == Cell(*want_pos[i]), i
-        if after.cell in grid.goals:
-            assert event == StepEvent.REACHED_GOAL and after.reached and not after.active
+    for i, (after, event, outcome) in enumerate(zip(new_cells, events, outcomes)):
+        assert after == Cell(*want_pos[i]), i
+        if after in grid.goals:
+            assert event == StepEvent.REACHED_GOAL
             continue
-        assert after.active and not after.reached
         if outcome == "moved":
             assert event == StepEvent.MOVED
         elif outcome == "blocked":
@@ -315,9 +323,8 @@ def test_slip_replaces_the_chosen_action_with_a_random_move():
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(200):
-        state = (AgentStatus(Cell(2, 1)),)
-        new_state, _ = env.step(state, [Action.STAY], rng)
-        seen.add(new_state[0].cell)
+        (cell,), _ = env.step([Cell(2, 1)], [Action.STAY], rng)
+        seen.add(cell)
     # Stay was always replaced, and every neighbour shows up.
     assert Cell(2, 1) not in seen
     assert seen == {Cell(2, 0), Cell(2, 2), Cell(1, 1), Cell(3, 1)}
@@ -326,10 +333,9 @@ def test_slip_replaces_the_chosen_action_with_a_random_move():
 def test_zero_slip_is_deterministic():
     grid = parse_map(".....\n....G\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=1))
-    state = (AgentStatus(Cell(2, 0)),)
     for seed in range(5):
-        new_state, _ = env.step(state, [Action.RIGHT], np.random.default_rng(seed))
-        assert new_state[0].cell == Cell(3, 0)
+        cells, _ = env.step([Cell(2, 0)], [Action.RIGHT], np.random.default_rng(seed))
+        assert cells == [Cell(3, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,29 +449,19 @@ def test_conflict_kernel_on_hand_made_cases(pre, final, want_final, want_events)
 def test_run_episode_straight_line_arrival():
     grid = parse_map("....G\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=1, horizon=10))
-    rollout = run_episode(
-        env,
-        ConstantPolicy(Action.RIGHT),
-        np.random.default_rng(0),
-        initial_state=(AgentStatus(Cell(0, 0)),),
-    )
+    rollout = run_episode(env, ConstantPolicy(Action.RIGHT), np.random.default_rng(0), starts=[0])
     traj = rollout.trajectories[0]
     assert traj.reached
     assert traj.arrival_time == 4
     assert traj.cells == [Cell(x, 0) for x in range(5)]
     assert traj.observations() == [(False, False)] * 4 + [(True, False)]
-    assert rollout.all_reached
+    assert rollout.steps == 4
 
 
 def test_run_episode_settles_agents_that_start_on_a_goal():
     grid = parse_map("G....\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=1, horizon=10))
-    rollout = run_episode(
-        env,
-        ConstantPolicy(Action.RIGHT),
-        np.random.default_rng(0),
-        initial_state=(AgentStatus(Cell(0, 0)),),
-    )
+    rollout = run_episode(env, ConstantPolicy(Action.RIGHT), np.random.default_rng(0), starts=[0])
     traj = rollout.trajectories[0]
     assert traj.reached and traj.arrival_time == 0
     assert traj.cells == [Cell(0, 0)]
@@ -476,16 +472,28 @@ def test_run_episode_settles_agents_that_start_on_a_goal():
 def test_run_episode_timeout_emits_one_observation_per_step():
     grid = parse_map(".....G\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=1, horizon=3))
-    rollout = run_episode(
-        env,
-        ConstantPolicy(Action.STAY),
-        np.random.default_rng(0),
-        initial_state=(AgentStatus(Cell(0, 0)),),
-    )
+    rollout = run_episode(env, ConstantPolicy(Action.STAY), np.random.default_rng(0), starts=[0])
     traj = rollout.trajectories[0]
     assert not traj.reached and traj.arrival_time is None
     assert len(traj.observations()) == 3
     assert traj.observations() == [(False, False)] * 3
+
+
+def test_run_episode_drops_an_arrived_agent_from_later_steps():
+    """Once an agent reaches the goal it is neither stepped nor in anyone's way: the second agent
+    then walks into the goal cell the first one arrived on without a conflict."""
+    env = _two_agent_env()
+    script = iter([[Action.DOWN, Action.STAY], [Action.RIGHT]])
+    policy = Stepped(lambda cells, rng: next(script))
+    calls = counting(policy)
+    first, second = Cell(2, 0), Cell(1, 1)
+    rollout = run_episode(env, policy, np.random.default_rng(0), starts=[env.index(first), env.index(second)])
+    assert calls == [[env.index(first), env.index(second)], [env.index(second)]]
+    assert rollout.steps == 2
+    arrived, follower = rollout.trajectories
+    assert arrived.cells == [first, Cell(2, 1)] and arrived.events == [StepEvent.REACHED_GOAL]
+    assert follower.cells == [second, second, Cell(2, 1)]
+    assert follower.events == [StepEvent.MOVED, StepEvent.REACHED_GOAL]
 
 
 def test_run_episode_invariants_under_random_play():
@@ -543,26 +551,29 @@ def test_uniform_policy_timeout_rate_regression():
     env = GridEnv(EnvConfig(grid=grid, num_agents=1, horizon=80))
     policy = TabularPolicy.uniform(grid)
     rng = np.random.default_rng(2024)
-    reached = sum(int(run_episode(env, policy, rng).all_reached) for _ in range(200))
+    reached = sum(int(run_episode(env, policy, rng).trajectories[0].reached) for _ in range(200))
     assert reached == 21
 
 
 def reference_rollout(env, sample, rng):
-    """run_episode's reference over Cells: reset, then per step one sample(cell, rng) per active agent and
-    GridEnv.step.  Returns the step count and each agent's (cells, actions, events, reached)."""
-    state = tuple(AgentStatus(st.cell, True, False) if st.cell in env.grid.goals else st for st in env.reset(rng))
-    record = [([st.cell], [], []) for st in state]
+    """run_episode's reference over Cells: reset, then per step one sample(cell, rng) per live agent and
+    GridEnv.step on the live agents.  An agent placed on a goal is never live, and one that reaches a
+    goal leaves the live set.  Returns the step count and each agent's (cells, actions, events, reached)."""
+    record = [([env.cells[c]], [], []) for c in env.reset(rng)]
+    live = [i for i, (cells, _, _) in enumerate(record) if cells[0] not in env.grid.goals]
     steps = 0
-    while steps < env.config.horizon and any(st.active for st in state):
-        actions = [sample(st.cell, rng) if st.active else Action.STAY for st in state]
-        after, events = env.step(state, actions, rng)
-        for (cells, acts, evs), st, new, action, event in zip(record, state, after, actions, events):
-            if st.active:
-                cells.append(new.cell)
-                acts.append(action)
-                evs.append(event)
-        state, steps = after, steps + 1
-    return steps, [(*r, st.reached) for r, st in zip(record, state)]
+    while steps < env.config.horizon and live:
+        actions = [sample(record[i][0][-1], rng) for i in live]
+        after, events = env.step([record[i][0][-1] for i in live], actions, rng)
+        for i, new, action, event in zip(live, after, actions, events):
+            cells, acts, evs = record[i]
+            cells.append(new)
+            acts.append(action)
+            evs.append(event)
+        live = [i for i, event in zip(live, events) if event != StepEvent.REACHED_GOAL]
+        steps += 1
+    # Recording stops on a goal, so an agent ends on one only by starting or arriving there.
+    return steps, [(*r, r[0][-1] in env.grid.goals) for r in record]
 
 
 @pytest.mark.parametrize("sampler", ["sample_action", "scalar_inverse_cdf"])
@@ -667,7 +678,7 @@ def test_run_episode_stops_stepping_once_the_live_cells_repeat():
     env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=11))
     calls = counting(policy)
     rng = np.random.default_rng(8)
-    rollout = run_episode(env, policy, rng, initial_state=tuple(map(AgentStatus, [Cell(0, 0), Cell(0, 1), Cell(3, 0)])))
+    rollout = run_episode(env, policy, rng, starts=[env.index(c) for c in (Cell(0, 0), Cell(0, 1), Cell(3, 0))])
     # The third agent reaches the goal at step 1, so (1, 5), first met after it, recurs before step 4.
     assert calls == [[0, 4, 3], [1, 5], [0, 4], [1, 5]]
     assert rollout.steps == 11

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -16,6 +18,17 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parent.parent
 # Where a definition in the package may be used: the sources, the tests and the benchmark.
 READERS = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+
+
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file without importing the benchmark's workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = load_tracing()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -80,3 +93,20 @@ def test_every_package_definition_is_used_somewhere():
         if path.resolve() not in package
     ]
     assert unreferenced_definitions(list(package.values()), others) == []
+
+
+@pytest.mark.parametrize("module_name, qualname", TRACING.TRACED, ids=lambda name: name)
+def test_every_traced_name_resolves_where_the_tracer_patches_it(module_name, qualname):
+    """The benchmark's tracer patches a method in its class's __dict__ and a function as a module attribute.
+
+    A renamed or deleted package name fails here, by name, instead of as a
+    KeyError inside a benchmark run.  So names that only the tracer reads,
+    such as GridEnv.step, TabularPolicy.sample_action, RewardMachine.weights
+    and bench.plan_rollout, stay until the benchmark stops tracing them.
+    """
+    module = importlib.import_module(f"{TRACING.PACKAGE}.{module_name}")
+    if "." in qualname:
+        cls_name, attr = qualname.split(".")
+        assert attr in vars(getattr(module, cls_name)), qualname
+    else:
+        assert callable(getattr(module, qualname, None)), qualname
