@@ -114,8 +114,9 @@ def evaluate(
 
     Start placements come from a reset stream independent of the action
     stream, so two policies evaluated with generators seeded alike see
-    the identical start draws.  The policy must be the map's size and have
-    a row for every free cell of it.
+    the identical start draws.  Each episode hands run_episode its action
+    seed, so a one-hot policy at slip 0 builds no action generator.  The
+    policy must be the map's size and have a row for every free cell of it.
     """
     if episodes < 1:
         raise ConfigError("episodes must be at least 1")
@@ -144,7 +145,7 @@ def evaluate(
     started = time.perf_counter()
     for reset_seed, action_seed in seeds:
         starts = env.reset(np.random.default_rng(int(reset_seed)))
-        rollout = run_episode(env, policy, np.random.default_rng(int(action_seed)), starts)
+        rollout = run_episode(env, policy, int(action_seed), starts)
         for traj in rollout.trajectories:
             agent_episodes += 1
             if traj.reached:

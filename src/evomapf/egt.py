@@ -53,7 +53,6 @@ class TabularPolicy:
         self.height = height
         self.probs = probs
         self.cells = list(cells)
-        self._cum_rows: list | None = None
 
     @classmethod
     def uniform(cls, grid: GridMap) -> "TabularPolicy":
@@ -73,22 +72,30 @@ class TabularPolicy:
     def sample_action(self, cell: Cell, rng: np.random.Generator) -> Action:
         return ACTIONS[self.sample_actions([cell.y * self.width + cell.x], rng)[0]]
 
+    @cached_property
+    def _rows(self) -> list[list[float]]:
+        # Flat cumulative rows; STAY's bound at inf makes bisect_right end at STAY at most.
+        rows = self.cumulative().reshape(-1, NUM_ACTIONS)
+        rows[:, -1] = np.inf
+        return rows.tolist()
+
     def sample_actions(self, cells: list[int], rng: np.random.Generator) -> list[int]:
         """One action per flat cell (y * width + x), on one block of uniforms taken in cell order."""
-        if self._cum_rows is None:
-            # With STAY's bound at inf, bisect_right (np.searchsorted side="right") ends at STAY at most.
-            rows = self.cumulative().reshape(-1, NUM_ACTIONS)
-            rows[:, -1] = np.inf
-            self._cum_rows = rows.tolist()
-        return list(map(bisect_right, map(self._cum_rows.__getitem__, cells), rng.random(len(cells)).tolist()))
+        return list(map(bisect_right, map(self._rows.__getitem__, cells), rng.random(len(cells)).tolist()))
 
     @cached_property
     def deterministic(self) -> bool:
         """Whether sample_actions ignores its uniforms on every cell in self.cells (evaluate checks they
         cover the map): no cumulative bound but STAY's lies strictly inside (0, 1), so bisect_right
-        returns one action for every u in [0, 1).  load_policy's uniform filler rows lie outside them."""
+        returns one action for every u in [0, 1), the one `fixed_actions` holds, and run_episode
+        draws no action uniforms at slip 0.  load_policy's uniform filler rows lie outside them."""
         bounds = self.cumulative()[[c.y for c in self.cells], [c.x for c in self.cells], :-1]
         return not ((bounds > 0.0) & (bounds < 1.0)).any()
+
+    @cached_property
+    def fixed_actions(self) -> list[int]:
+        """Per flat cell, the action sample_actions takes for u = 0; for every u in [0, 1) where deterministic."""
+        return [bisect_right(row, 0.0) for row in self._rows]
 
     def greedy(self) -> "TabularPolicy":
         """Deterministic policy: all mass on each row's argmax (first wins ties)."""

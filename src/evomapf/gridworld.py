@@ -10,12 +10,12 @@ Both steppers work on flat cell indices (y * width + x) through one
 (cells x 5) move table and emit STEP_EVENTS codes.  `GridEnv.advance`
 steps one episode's live agents and re-checks only cells a revert
 touches; `episode_steps` plays an episode on it with one choose call
-per step, for `run_episode` (one block of uniforms per step) and
-Q-learning.  Under a one-hot policy at slip 0, `run_episode` stops
-stepping once the live agents' cells repeat and replays the cycle to the
-horizon, with unchanged outputs and generator state.  `roll_batch` rolls
-many episodes at once with the same rules and draws.  An agent is its flat
-cell from `reset` on; `GridEnv.step` is advance on the live agents' `Cell`s.
+per step, for Q-learning and `run_episode`, which draws one block of
+uniforms per step, or none under a one-hot policy at slip 0: it then reads
+each action from the policy's per-cell table and, once the live cells
+repeat, replays the cycle to the horizon.  `roll_batch` rolls many
+episodes at once with the same rules and draws.  An agent is its flat
+cell from `reset` on; `GridEnv.step` is advance on live `Cell`s.
 """
 from __future__ import annotations
 
@@ -394,44 +394,53 @@ def episode_steps(
 
 
 def run_episode(
-    env: GridEnv, policy, rng: np.random.Generator, starts: list[int] | None = None
+    env: GridEnv, policy, rng: np.random.Generator | int, starts: list[int] | None = None
 ) -> EpisodeRollout:
     """Roll one episode from the flat start cells, or from env.reset(rng); ends at the horizon
     or once every agent has reached a goal.
 
-    policy is anything with a `sample_actions(cells, rng) -> actions`
-    method, called once per step with the live agents' flat cells; a
-    TabularPolicy takes one block of uniforms, one per agent in order.
-    A policy whose `deterministic` is true is one-hot on every cell an
-    agent may stand on, so at slip 0 a step depends only on the live cells
-    it starts from.  Once those repeat, the episode stops stepping, repeats
-    each live agent's last cycle of cells, actions and events up to the
-    horizon, and draws the skipped steps' uniforms in one call.
+    rng is a Generator, or a seed for one that is built only if the
+    episode draws: for the reset, a stochastic policy or slip.  policy is
+    anything with a `sample_actions(cells, rng) -> actions` method, called
+    once per step with the live agents' flat cells; a TabularPolicy takes
+    one block of uniforms, one per agent in order.  A policy whose
+    `deterministic` is true is one-hot on every cell an agent may stand on,
+    so at slip 0 a step takes its `fixed_actions`, draws nothing and
+    depends only on the live cells it starts from.  Once those repeat, the
+    episode stops stepping and repeats each live agent's last cycle of
+    cells, actions and events up to the horizon.
     """
-    starts = env.reset(rng) if starts is None else starts
+    one_hot = env.config.slip_probability == 0.0 and getattr(policy, "deterministic", False)
+    if starts is None or not one_hot:
+        rng = np.random.default_rng(rng)  # returns a Generator unchanged
+        starts = env.reset(rng) if starts is None else starts
     record = [([c], [], []) for c in starts]  # cells, actions, events per agent
-    horizon, steps = env.config.horizon, 0
-    # The step after which each tuple of live cells was first seen, when steps can repeat.
-    seen = {} if env.config.slip_probability == 0.0 and getattr(policy, "deterministic", False) else None
-    played = episode_steps(env, starts, lambda cells: policy.sample_actions(cells, rng), rng)
-    for steps, (agents, before, actions, after, events) in enumerate(played, 1):
+    horizon, steps, period = env.config.horizon, 0, 0
+    seen: dict[tuple, int] = {}  # if one_hot, the step after which each tuple of live cells was first seen
+    if one_hot:  # rng may still be a seed: advance draws nothing at slip 0 either
+        fixed = policy.fixed_actions
+        choose = lambda cells: [fixed[c] for c in cells]
+    else:
+        choose = lambda cells: policy.sample_actions(cells, rng)
+    for steps, (agents, before, actions, after, events) in enumerate(episode_steps(env, starts, choose, rng), 1):
         for i, action, cell, event in zip(agents, actions, after, events):
             cells, acts, evs = record[i]
             cells.append(cell)
             acts.append(action)
             evs.append(event)
-        if seen is not None:
+        if one_hot:
             first = seen.setdefault(tuple(before), steps - 1)
             if first < steps - 1:  # this step replays step first + 1, and so on to the horizon
-                period, rest = steps - 1 - first, horizon - steps
-                for i in agents:
-                    for column in record[i]:
-                        column.extend(islice(cycle(column[-period:]), rest))
-                rng.random(rest * len(agents))
-                steps = horizon
+                period = steps - 1 - first
                 break
     # Recording stops on a goal, so an agent ends on one only by reaching it.
     trajectories = [_trajectory(env, *r, env._goal[r[0][-1]]) for r in record]
+    if period:
+        for i in agents:
+            t = trajectories[i]
+            for column in (t.cells, t.actions, t.events):
+                column.extend(islice(cycle(column[-period:]), horizon - steps))
+        steps = horizon
     return EpisodeRollout(trajectories=trajectories, steps=steps)
 
 

@@ -728,29 +728,38 @@ class SteppedTable(TabularPolicy):
 
 
 def test_evaluate_replays_a_crowd_as_it_steps_it(monkeypatch):
-    """A* at 16 agents on a 20x20 map: the same metrics whether episodes replay their cycles or not,
-    and the replayed steps hold conflicts, so reverts repeat inside the cycles."""
+    """Every one-hot subject at 16 agents on a 20x20 map (the learners trained on small budgets at 2
+    agents): the same metrics whether episodes read its action table and replay their cycles, never
+    calling sample_actions, or are forced through sample_actions; the replayed steps hold conflicts,
+    so reverts repeat inside the cycles."""
     grid = generate_map(20, 20, 0.1, np.random.default_rng([3, 20]))
     config = EnvConfig(grid=grid, num_agents=16)
-    policy = astar_policy(grid)
-    calls = []
-    sample = policy.sample_actions
-    policy.sample_actions = lambda cells, rng: calls.append(len(cells)) or sample(cells, rng)
-    replayed = []  # (rollout, steps taken) per episode
+    rewards = RewardParams.default_for(config.horizon)
+    for algorithm in ALGORITHMS:
+        policy, _ = train_subject(algorithm, EnvConfig(grid=grid, num_agents=2), rewards, 256,
+                                  np.random.default_rng(5))
+        assert policy.deterministic
+        sampled, advanced = [], []
+        sample = policy.sample_actions
+        policy.sample_actions = lambda cells, rng: sampled.append(len(cells)) or sample(cells, rng)
+        advance = GridEnv.advance
+        monkeypatch.setattr(GridEnv, "advance", lambda *args: advanced.append(1) or advance(*args))
+        replayed = []  # (rollout, steps taken) per episode
 
-    def recorded(*args, **kwargs):
-        before = len(calls)
-        rollout = run_episode(*args, **kwargs)
-        replayed.append((rollout, len(calls) - before))
-        return rollout
+        def recorded(*args, **kwargs):
+            before = len(advanced)
+            rollout = run_episode(*args, **kwargs)
+            replayed.append((rollout, len(advanced) - before))
+            return rollout
 
-    monkeypatch.setattr(bench, "run_episode", recorded)
-    got = evaluate(policy, config, 30, np.random.default_rng(11))
-    monkeypatch.undo()
-    want = evaluate(SteppedTable(grid.width, grid.height, policy.probs, policy.cells), config, 30,
-                    np.random.default_rng(11))
-    assert dataclasses.replace(got, eval_seconds=0.0) == dataclasses.replace(want, eval_seconds=0.0)
-    assert sum(taken for _, taken in replayed) < sum(rollout.steps for rollout, _ in replayed)
-    conflicts_replayed = sum(ev in CONFLICT_EVENTS for rollout, taken in replayed
-                             for traj in rollout.trajectories for ev in traj.events[taken:])
-    assert conflicts_replayed > 0
+        monkeypatch.setattr(bench, "run_episode", recorded)
+        got = evaluate(policy, config, 30, np.random.default_rng(11))
+        monkeypatch.undo()
+        assert sampled == [], algorithm
+        want = evaluate(SteppedTable(grid.width, grid.height, policy.probs, policy.cells), config, 30,
+                        np.random.default_rng(11))
+        assert dataclasses.replace(got, eval_seconds=0.0) == dataclasses.replace(want, eval_seconds=0.0), algorithm
+        assert sum(taken for _, taken in replayed) < sum(rollout.steps for rollout, _ in replayed), algorithm
+        conflicts_replayed = sum(ev in CONFLICT_EVENTS for rollout, taken in replayed
+                                 for traj in rollout.trajectories for ev in traj.events[taken:])
+        assert conflicts_replayed > 0, algorithm

@@ -115,6 +115,19 @@ def test_deterministic_reads_whether_every_row_is_one_hot(tmp_path):
         name: want for name, (_, want) in truth.items()
     }
 
+    class Top:
+        """A generator stub whose every uniform is the largest double below 1."""
+
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+    # On a deterministic policy's cells, fixed_actions is the row's one action, which u = 0 and u < 1 both take.
+    for policy in (greedy, astar_policy(grid), loaded):
+        cells = [c.y * grid.width + c.x for c in policy.cells]
+        want = policy.probs.reshape(-1, 5)[cells].argmax(axis=1).tolist()
+        assert [policy.fixed_actions[c] for c in cells] == want
+        assert policy.sample_actions(cells, Top()) == want
+
 
 def test_sample_action_is_seed_deterministic():
     policy = TabularPolicy.uniform(STRIP)

@@ -576,6 +576,17 @@ def reference_rollout(env, sample, rng):
     return steps, [(*r, r[0][-1] in env.grid.goals) for r in record]
 
 
+def dirichlet_world(num_agents, slip):
+    """The acceptance 20x20 map at T=80 and a stochastic policy with Dirichlet(0.5) rows."""
+    from evomapf.bench import generate_map
+    from evomapf.egt import TabularPolicy
+
+    grid = generate_map(20, 20, 0.1, np.random.default_rng([7, 20]))
+    env = GridEnv(EnvConfig(grid=grid, num_agents=num_agents, horizon=80, slip_probability=slip))
+    probs = np.random.default_rng(num_agents).dirichlet(np.full(5, 0.5), size=(grid.height, grid.width))
+    return env, TabularPolicy(grid.width, grid.height, probs, grid.free_cells())
+
+
 @pytest.mark.parametrize("sampler", ["sample_action", "scalar_inverse_cdf"])
 @pytest.mark.parametrize("slip", [0.0, 0.2])
 @pytest.mark.parametrize("num_agents", [1, 4, 25])
@@ -585,13 +596,7 @@ def test_run_episode_equals_the_cell_level_loop(num_agents, slip, sampler):
     The per-agent draw is TabularPolicy.sample_action, or one scalar
     rng.random() inverted through the cell's cumulative row.
     """
-    from evomapf.bench import generate_map
-    from evomapf.egt import TabularPolicy
-
-    grid = generate_map(20, 20, 0.1, np.random.default_rng([7, 20]))
-    env = GridEnv(EnvConfig(grid=grid, num_agents=num_agents, horizon=80, slip_probability=slip))
-    probs = np.random.default_rng(num_agents).dirichlet(np.full(5, 0.5), size=(grid.height, grid.width))
-    policy = TabularPolicy(grid.width, grid.height, probs, grid.free_cells())
+    env, policy = dirichlet_world(num_agents, slip)
     cumulative = policy.cumulative()
 
     def scalar_inverse_cdf(cell, rng):
@@ -611,6 +616,24 @@ def test_run_episode_equals_the_cell_level_loop(num_agents, slip, sampler):
     assert conflicts > 0 or num_agents == 1
 
 
+@pytest.mark.parametrize("slip", [0.0, 0.2])
+@pytest.mark.parametrize("num_agents", [1, 4, 25])
+def test_run_episode_takes_a_seed_or_a_generator(num_agents, slip):
+    """A seed plays the episode of default_rng(seed); at slip 0 a one-hot policy from given starts
+    leaves a passed generator untouched."""
+    env, policy = dirichlet_world(num_agents, slip)
+    for seed in range(6):
+        got, want = run_episode(env, policy, seed), run_episode(env, policy, np.random.default_rng(seed))
+        assert got.steps == want.steps
+        assert got.trajectories == want.trajectories
+    greedy = policy.greedy()
+    starts = env.reset(np.random.default_rng(3))
+    rng = np.random.default_rng(9)
+    rollout = run_episode(env, greedy, rng, starts)
+    assert (rng.bit_generator.state == np.random.default_rng(9).bit_generator.state) == (slip == 0.0)
+    assert rollout == run_episode(env, greedy, 9, starts)
+
+
 # ---------------------------------------------------------------------------
 # replaying the cycle of a deterministic episode
 
@@ -626,6 +649,13 @@ def counting(policy):
     """Make policy record the live cells of each sample_actions call; returns the list of them."""
     calls, sample = [], policy.sample_actions
     policy.sample_actions = lambda cells, rng: calls.append(list(cells)) or sample(cells, rng)
+    return calls
+
+
+def advancing(env):
+    """Make env record the live cells of each step it advances; returns the list of them."""
+    calls, advance = [], env.advance
+    env.advance = lambda pre, actions, rng: calls.append(list(pre)) or advance(pre, actions, rng)
     return calls
 
 
@@ -650,20 +680,27 @@ def one_hot_worlds(draw):
 @given(world=one_hot_worlds(), slip=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_run_episode_replays_a_repeated_state_as_stepping_would(world, slip, seed):
-    """A one-hot policy gives the rollout and next draw of the stepping loop; at slip 0.2 it steps every step."""
+    """A one-hot policy gives the rollout of the stepping loop.  At slip 0 the generator draws only
+    the reset and sample_actions is never called; at slip 0.2 every step is taken and drawn as stepping's."""
     grid, num_agents, policy = world
-    env = GridEnv(EnvConfig(grid=grid, num_agents=num_agents, slip_probability=slip))
+    config = EnvConfig(grid=grid, num_agents=num_agents, slip_probability=slip)
+    env = GridEnv(config)
     stepped_policy = Stepped(policy.sample_actions)
-    calls = counting(policy)
+    steps, samples = advancing(env), counting(policy)
     assert policy.deterministic
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = run_episode(env, policy, got_rng)
-    want = run_episode(env, stepped_policy, want_rng)
+    want = run_episode(GridEnv(config), stepped_policy, want_rng)
     assert got.steps == want.steps
     assert got.trajectories == want.trajectories
-    assert got_rng.random() == want_rng.random()
     if slip > 0.0:
-        assert len(calls) == got.steps
+        assert len(steps) == len(samples) == got.steps
+        assert got_rng.random() == want_rng.random()
+    else:
+        reset_only = np.random.default_rng(seed)
+        env.reset(reset_only)
+        assert got_rng.bit_generator.state == reset_only.bit_generator.state
+        assert samples == []
 
 
 def test_run_episode_stops_stepping_once_the_live_cells_repeat():
@@ -676,7 +713,7 @@ def test_run_episode_stops_stepping_once_the_live_cells_repeat():
                       [Action.RIGHT, Action.LEFT, Action.RIGHT, Action.STAY]])
     policy = TabularPolicy(4, 2, np.eye(5)[moves], grid.free_cells())
     env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=11))
-    calls = counting(policy)
+    calls = advancing(env)
     rng = np.random.default_rng(8)
     rollout = run_episode(env, policy, rng, starts=[env.index(c) for c in (Cell(0, 0), Cell(0, 1), Cell(3, 0))])
     # The third agent reaches the goal at step 1, so (1, 5), first met after it, recurs before step 4.
@@ -688,7 +725,5 @@ def test_run_episode_stops_stepping_once_the_live_cells_repeat():
     assert pacer.actions == [Action.RIGHT, Action.LEFT] * 5 + [Action.RIGHT]
     assert set(pacer.events) == {StepEvent.MOVED} and len(pacer.events) == 11
     assert parked.cells == [Cell(3, 0), Cell(3, 1)] and parked.reached
-    # Three uniforms at step 1, then two for each of the ten steps that follow.
-    want = np.random.default_rng(8)
-    want.random(3 + 2 * 10)
-    assert rng.random() == want.random()
+    # Given starts, one-hot actions and no slip: nothing is drawn.
+    assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
