@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .gridworld import check_range
+
 # Alphabet of reward observations: (in_goal, collision).
 OBSERVATION_ALPHABET: tuple[tuple[bool, bool], ...] = (
     (False, False),
@@ -39,8 +41,7 @@ class Valuation:
     def __post_init__(self) -> None:
         if self.kind not in ("sum", "avg", "discounted_sum"):
             raise ValueError(f"unknown valuation kind {self.kind!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        check_range("gamma", self.gamma, 0, 1)
 
 
 SUM = Valuation("sum")
@@ -81,13 +82,11 @@ class RewardParams:
     gamma: float = 0.99
 
     def __post_init__(self) -> None:
-        for name in ("step_penalty", "goal_reward", "collision_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.step_penalty < 0:
-            raise ValueError("step_penalty must be non-negative")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
+        check_range("step_penalty", self.step_penalty, 0)
+        check_range("goal_reward", self.goal_reward, -math.inf)
+        check_range("collision_penalty", self.collision_penalty, -math.inf)
+        check_range("horizon", self.horizon, 1)
+        check_range("gamma", self.gamma, 0, 1)
         if not self.goal_reward >= self.collision_penalty:
             raise ValueError(
                 f"goal_reward must be at least collision_penalty, need b >= c > a*T "
@@ -98,8 +97,6 @@ class RewardParams:
                 f"collision_penalty must exceed step_penalty*horizon, need b >= c > a*T "
                 f"(collision_penalty={self.collision_penalty}, step_penalty*horizon={self.step_penalty * self.horizon})"
             )
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
 
     @classmethod
     def default_for(cls, horizon: int) -> "RewardParams":

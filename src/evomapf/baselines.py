@@ -17,11 +17,11 @@ from .gridworld import (
     BatchRollout,
     Cell,
     COLLISION_EVENTS,
-    ConfigError,
     EnvConfig,
     GridEnv,
     GridMap,
     STEP_EVENTS,
+    check_range,
     episode_steps,
     roll_batch,
     _REACHED,
@@ -88,15 +88,10 @@ class LearnerParams:
     mc_batch: int = 50  # Monte-Carlo: episodes per policy-improvement batch
 
     def __post_init__(self) -> None:
-        if self.episodes < 1:
-            raise ConfigError("episodes must be at least 1")
-        if self.mc_batch < 1:
-            raise ConfigError("mc_batch must be at least 1")
+        check_range("episodes", self.episodes, 1)
+        check_range("mc_batch", self.mc_batch, 1)
         for name in ("learning_rate", "epsilon_greedy", "epsilon_decay", "epsilon_min"):
-            value = getattr(self, name)
-            # Also false for NaN.
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
+            check_range(name, getattr(self, name), 0, 1)
 
 
 def _step_rewards(rewards: RewardParams) -> list[float]:
@@ -169,7 +164,7 @@ def monte_carlo_table(
     for first in range(0, params.episodes, params.mc_batch):
         mix = np.array(epsilons[first : first + params.mc_batch])
         # The greedy table's cumulative distribution: 0 before each row's first maximum, 1 from it on.
-        greedy = (np.arange(NUM_ACTIONS) >= q.argmax(axis=1)[:, None]).astype(float)
+        greedy = np.eye(NUM_ACTIONS)[q.argmax(axis=1)].cumsum(axis=1)
         seeds = rng.integers(0, 2**63 - 1, size=len(mix))
         credit_first_visits(roll_batch(env, greedy, seeds, mix), step_reward, rewards.gamma, sums, counts)
         seen = counts > 0
@@ -213,7 +208,7 @@ LEARNERS = {"qlearning": qlearning_table, "montecarlo": monte_carlo_table}
 
 def learn(algorithm: str, env_config: EnvConfig, rewards: RewardParams, params: LearnerParams,
           rng: np.random.Generator) -> TabularPolicy:
-    """Train the named learner; returns the greedy policy over its Q-values."""
+    """Train the named learner; returns the greedy policy over its Q-values (a row's first maximum wins)."""
     grid = env_config.grid
     q = LEARNERS[algorithm](env_config, rewards, params, rng)
-    return TabularPolicy(grid.width, grid.height, q, grid.free_cells()).greedy()
+    return TabularPolicy(grid.width, grid.height, np.eye(NUM_ACTIONS)[q.argmax(axis=2)], grid.free_cells())

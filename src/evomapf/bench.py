@@ -31,6 +31,7 @@ from .gridworld import (
     EpisodeRollout,
     GridEnv,
     GridMap,
+    check_range,
     run_episode,
 )
 
@@ -118,8 +119,7 @@ def evaluate(
     seed, so a one-hot policy at slip 0 builds no action generator.  The
     policy must be the map's size and have a row for every free cell of it.
     """
-    if episodes < 1:
-        raise ConfigError("episodes must be at least 1")
+    check_range("episodes", episodes, 1)
     grid = env_config.grid
     if (policy.width, policy.height) != (grid.width, grid.height):
         raise ConfigError(
@@ -172,12 +172,6 @@ GOAL_REGION = 50
 MAX_TRIES = 200
 
 
-def _check_density(density: float) -> None:
-    # Also false for NaN.
-    if not 0.0 <= density <= 0.4:
-        raise ConfigError(f"density must lie in [0, 0.4], got {density!r}")
-
-
 def _reaches_everywhere(free: np.ndarray, seeds: tuple[np.ndarray, np.ndarray]) -> bool:
     """Whether every free cell of the (H, W) mask connects to a seed cell, by flood fill."""
     reached = np.zeros_like(free)
@@ -198,9 +192,7 @@ def generate_map(width: int, height: int, density: float, rng: np.random.Generat
     """Random map: uniform obstacles at the given density, one goal per
     GOAL_REGION x GOAL_REGION tile (at least one), every free cell
     connected to some goal.  Rejected draws are retried."""
-    _check_density(density)
-    if width < 1 or height < 1:
-        raise ConfigError("map must have positive width and height")
+    check_range("density", density, 0, 0.4)
     total = width * height
     n_obstacles = round(density * total)
     tiles = [(ry, rx) for ry in range(0, height, GOAL_REGION) for rx in range(0, width, GOAL_REGION)]
@@ -257,17 +249,14 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"algorithms must be among {list(ALGORITHMS)}, got {unknown}")
         # A map needs a goal and a start cell, so at least two cells.
-        for name, value, least in (("sizes", min(self.sizes), 2), ("agents", min(self.agents), 1),
-                                   ("eval_episodes", self.eval_episodes, 1),
-                                   ("train_episodes", self.train_episodes, 1)):
-            if value < least:
-                raise ConfigError(f"{name} must be at least {least}, got {value}")
-        _check_density(self.density)
-        # Also false for NaN.
-        if not 0.0 <= self.slip_probability <= 1.0:
-            raise ConfigError(f"slip_probability must lie in [0, 1], got {self.slip_probability!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("sizes", 2), ("agents", 1)):
+            for value in getattr(self, name):
+                check_range(name, value, least)
+        check_range("eval_episodes", self.eval_episodes, 1)
+        check_range("train_episodes", self.train_episodes, 1)
+        check_range("density", self.density, 0, 0.4)
+        check_range("slip_probability", self.slip_probability, 0, 1)
+        check_range("seed", self.seed, 0)
 
 
 # The metric columns of a suite row, in CSV order, each with its number format.

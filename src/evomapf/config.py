@@ -10,7 +10,7 @@ from .automaton import RewardParams, Valuation
 from .baselines import LEARNERS, LearnerParams
 from .bench import SuiteConfig
 from .egt import TrainConfig
-from .gridworld import ConfigError, EnvConfig, parse_map
+from .gridworld import ConfigError, EnvConfig, check_range, parse_map
 
 TRAINABLE_ALGORITHMS = ("egt", *LEARNERS)
 
@@ -90,8 +90,7 @@ class RunConfig:
 
     def seed(self) -> int:
         seed = self.get("env", "seed", 0)
-        if seed < 0:
-            raise ConfigError(f"[env] seed must be non-negative, got {seed}")
+        check_range("[env] seed", seed, 0)
         return seed
 
     def build_env(self) -> EnvConfig:

@@ -36,6 +36,7 @@ from .gridworld import (
     EpisodeRollout,
     GridEnv,
     GridMap,
+    check_range,
     roll_batch,
 )
 
@@ -99,11 +100,7 @@ class TabularPolicy:
 
     def greedy(self) -> "TabularPolicy":
         """Deterministic policy: all mass on each row's argmax (first wins ties)."""
-        best = np.argmax(self.probs, axis=2)
-        probs = np.zeros_like(self.probs)
-        h, w = self.height, self.width
-        probs[np.arange(h)[:, None], np.arange(w)[None, :], best] = 1.0
-        return self._like(probs)
+        return self._like(np.eye(NUM_ACTIONS)[self.probs.argmax(axis=2)])
 
     def copy(self) -> "TabularPolicy":
         return self._like(self.probs.copy())
@@ -160,8 +157,7 @@ def sample_batch(
     score_observations; each equals run_episode on its generator, scored
     by valuate(machine.weights(observations), valuation).
     """
-    if batch_size < 1:
-        raise ConfigError("batch_size must be at least 1")
+    check_range("batch_size", batch_size, 1)
     seeds = rng.integers(0, 2**63 - 1, size=batch_size)
     rolled = roll_batch(env, policy.cumulative().reshape(-1, NUM_ACTIONS), seeds)
     return EpisodeBatch(rolled, score_observations(machine, *rolled.observations(), valuation), env)
@@ -211,8 +207,7 @@ def replicator_update(
     with size alpha.  Unobserved actions keep their prior mass, so each
     row stays on the simplex.  alpha = 0 is the identity.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError("alpha must lie in [0, 1]")
+    check_range("alpha", alpha, 0, 1)
     probs = policy.probs.reshape(-1, NUM_ACTIONS).copy()
     counts = fitness.action_counts.reshape(-1, NUM_ACTIONS)
     observed = counts > 0
@@ -243,8 +238,7 @@ def _row_sum(values: np.ndarray) -> np.ndarray:
 
 def mix_with_uniform(policy: TabularPolicy, weight: float) -> TabularPolicy:
     """Blend every row with the uniform distribution: w*uniform + (1-w)*row."""
-    if not 0.0 <= weight <= 1.0:
-        raise ConfigError("mixing weight must lie in [0, 1]")
+    check_range("mixing weight", weight, 0, 1)
     probs = weight / NUM_ACTIONS + (1.0 - weight) * policy.probs
     return policy._like(probs)
 
@@ -274,20 +268,13 @@ class TrainConfig:
     patience: int = 3  # non-improving iterations tolerated before stopping
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.nu <= 1.0:
-            raise ConfigError("nu must lie in (0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must lie in [0, 1]")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("alpha must lie in (0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
-        if self.delta is not None and not 0.0 < self.delta < math.inf:
-            raise ConfigError(f"delta must be positive and finite, got {self.delta!r}")
+        check_range("nu", self.nu, 0, 1, above=True)
+        check_range("epsilon", self.epsilon, 0, 1)
+        check_range("alpha", self.alpha, 0, 1, above=True)
+        for name in ("batch_size", "max_iterations", "patience"):
+            check_range(name, getattr(self, name), 1)
+        if self.delta is not None:
+            check_range("delta", self.delta, 0, above=True)
         rewards = self.rewards or RewardParams.default_for(self.env.horizon)
         check_horizon(rewards, self.env)
         valuation = self.valuation or discounted_sum(rewards.gamma)

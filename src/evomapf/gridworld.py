@@ -19,6 +19,7 @@ cell from `reset` on; `GridEnv.step` is advance on live `Cell`s.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from itertools import cycle, islice
@@ -84,6 +85,23 @@ class ConfigError(ValueError):
     """Raised for invalid environment or run configuration."""
 
 
+def check_range(name: str, value: float, low: float, high: float = math.inf, *, above: bool = False) -> None:
+    """Raise ConfigError unless value is finite and lies in [low, high], or in (low, high] if above.
+
+    The message reads `<name> must be finite`, `... be at least <low>` or `... lie in [<low>, <high>]`,
+    then `, got <value!r>`.
+    """
+    if not -math.inf < value < math.inf:  # false for NaN too
+        bound = "be finite"
+    elif (low < value if above else low <= value) and value <= high:
+        return
+    elif high == math.inf and not above:
+        bound = f"be at least {low}"
+    else:
+        bound = f"lie in {'(' if above else '['}{low}, {high}{']' if high < math.inf else ')'}"
+    raise ConfigError(f"{name} must {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridMap:
     width: int
@@ -93,8 +111,8 @@ class GridMap:
     starts: frozenset[Cell]
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("map must have positive width and height")
+        check_range("width", self.width, 1)
+        check_range("height", self.height, 1)
         for name in ("obstacles", "goals", "starts"):
             for cell in getattr(self, name):
                 if not self.in_bounds(cell):
@@ -207,16 +225,13 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if self.horizon == 0:
             object.__setattr__(self, "horizon", default_horizon(self.grid))
-        if self.num_agents < 1:
-            raise ConfigError("num_agents must be at least 1")
+        check_range("num_agents", self.num_agents, 1)
         if self.num_agents > len(self.grid.starts):
             raise ConfigError(
                 f"num_agents={self.num_agents} exceeds the {len(self.grid.starts)} available start cells"
             )
-        if self.horizon < 1:
-            raise ConfigError("horizon must be positive")
-        if not 0.0 <= self.slip_probability <= 1.0:
-            raise ConfigError("slip_probability must lie in [0, 1]")
+        check_range("horizon", self.horizon, 1)
+        check_range("slip_probability", self.slip_probability, 0, 1)
 
 
 class GridEnv:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ def test_reward_params_reject_non_finite_rewards(field, value):
 @pytest.mark.parametrize("gamma", [float("nan"), -0.1, 1.5])
 def test_reward_params_reject_a_discount_outside_the_unit_interval(gamma):
     # RewardParams owns the one discount of the valuation and both learners.
-    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+    message = "gamma must be finite" if math.isnan(gamma) else r"gamma must lie in \[0, 1\]"
+    with pytest.raises(ValueError, match=message):
         RewardParams(step_penalty=1.0, goal_reward=10.0, collision_penalty=5.0, horizon=4, gamma=gamma)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from evomapf import baselines, gridworld
-from evomapf.automaton import SEEKING, RewardParams, reach_avoid_machine
+from evomapf.automaton import SEEKING, RewardParams, discounted_sum, reach_avoid_machine, valuate
 from evomapf.baselines import (
     LearnerParams,
     astar,
@@ -19,7 +19,7 @@ from evomapf.baselines import (
     qlearning_table,
 )
 from evomapf.bench import generate_map
-from evomapf.egt import TabularPolicy
+from evomapf.egt import NUM_ACTIONS, TabularPolicy
 from evomapf.gridworld import (
     COLLISION_EVENTS,
     Action,
@@ -253,6 +253,42 @@ def test_learners_discount_with_the_rewards_gamma():
         q = qlearning_table(EnvConfig(grid=STRIP, horizon=6), rewards, LearnerParams(episodes=500),
                             np.random.default_rng(0))
         assert q[0, 2, Action.RIGHT] == pytest.approx(-1.0 + gamma * 59.0, rel=1e-3)
+
+
+def test_greedy_tables_put_all_mass_on_the_first_maximum_of_each_row(monkeypatch):
+    # Per strip cell: UP ties RIGHT, DOWN ties the rest, all five tie, STAY alone, RIGHT alone.
+    q = np.array([[[1, 0, 0, 1, 0], [0, 2, 2, 2, 2], [0, 0, 0, 0, 0], [-1, -1, -1, -1, 3], [0, 0, 0, 5, 0]]], float)
+    first = np.eye(NUM_ACTIONS)[[[Action.UP, Action.DOWN, Action.UP, Action.STAY, Action.RIGHT]]]
+    monkeypatch.setitem(baselines.LEARNERS, "tied", lambda *args: q)
+    policy = learn("tied", EnvConfig(grid=STRIP, horizon=6), STRIP_REWARDS, LearnerParams(), np.random.default_rng(0))
+    assert policy.probs.tobytes() == first.tobytes()
+    assert TabularPolicy(5, 1, q, STRIP.free_cells()).greedy().probs.tobytes() == first.tobytes()
+    # Monte-Carlo's first batch acts on a zero table, where every row ties: all mass on UP, cumulatively.
+    tables = []
+
+    def record(env, cumulative, *args):
+        tables.append(cumulative)
+        return roll_batch(env, cumulative, *args)
+
+    monkeypatch.setattr(baselines, "roll_batch", record)
+    monte_carlo_table(EnvConfig(grid=STRIP, horizon=6), STRIP_REWARDS, LearnerParams(episodes=1, mc_batch=1),
+                      np.random.default_rng(0))
+    assert tables[0].tobytes() == np.ones((5, NUM_ACTIONS)).tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "baselines._step_rewards pays goal_reward on the arrival step; the automaton pays it one step later, "
+    "discounted by one more gamma, so the learners and EGT agree only at gamma = 1"))
+def test_learners_score_a_trajectory_as_the_automaton_values_it():
+    rewards = RewardParams(step_penalty=1.0, goal_reward=100.0, collision_penalty=50.0, horizon=10, gamma=0.9)
+    env = GridEnv(EnvConfig(grid=parse_map("S..G\n"), horizon=10))
+    right = TabularPolicy(4, 1, np.eye(NUM_ACTIONS)[np.full((1, 4), Action.RIGHT)], env.grid.free_cells())
+    trajectory = run_episode(env, right, 0).trajectories[0]
+    automaton = valuate(reach_avoid_machine(rewards).weights(trajectory.observations()), discounted_sum(0.9))
+    assert automaton == pytest.approx(70.19)
+    step_reward = baselines._step_rewards(rewards)
+    learners = sum(0.9**t * step_reward[STEP_EVENTS.index(ev)] for t, ev in enumerate(trajectory.events))
+    assert learners == pytest.approx(automaton)  # reads 78.29
 
 
 # ---------------------------------------------------------------------------

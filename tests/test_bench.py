@@ -380,6 +380,14 @@ def test_generate_map_rejects_bad_density():
         generate_map(5, 5, 0.7, np.random.default_rng(0))
 
 
+def test_generate_map_rejects_a_size_below_one():
+    # No map is ever built at such a size: a zero side leaves no goal tile to draw, a negative one no array.
+    with pytest.raises(ConfigError, match="could not generate a connected 0x5 map"):
+        generate_map(0, 5, 0.1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        generate_map(-1, 5, 0.1, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize(
     "size, seed, sha256",
     [
@@ -418,7 +426,7 @@ def test_suite_config_validation():
     for slip in (-0.1, 1.5, float("nan")):
         with pytest.raises(ConfigError, match="slip_probability"):
             SuiteConfig(sizes=(5,), agents=(1,), slip_probability=slip)
-    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
         SuiteConfig(sizes=(5,), agents=(1,), seed=-1)
 
 

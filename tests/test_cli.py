@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
+import numpy as np
 import pytest
 
+from evomapf.automaton import RewardParams, Valuation, reach_avoid_machine
+from evomapf.baselines import LearnerParams
+from evomapf.bench import SuiteConfig, evaluate, generate_map
 from evomapf.cli import main
-from evomapf.gridworld import parse_map
+from evomapf.config import KEYS, RunConfig, load_config
+from evomapf.egt import FitnessTable, TabularPolicy, TrainConfig, mix_with_uniform, replicator_update, sample_batch
+from evomapf.gridworld import Cell, ConfigError, EnvConfig, GridEnv, GridMap, parse_map
 
 STRIP = "....G\n"
 
@@ -166,15 +173,15 @@ def test_unknown_key_and_section_are_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "algorithm, text, message",
     [
-        ("egt", "[env]\nmap = strip.map\nnum_agents = 0\n", "[env] num_agents must be at least 1"),
-        ("egt", FAST_TRAIN + "nu = 0\n", "[train] nu must lie in (0, 1]"),
-        ("montecarlo", FAST_TRAIN + "mc_batch = 0\n", "[train] mc_batch must be at least 1"),
+        ("egt", "[env]\nmap = strip.map\nnum_agents = 0\n", "[env] num_agents must be at least 1, got 0"),
+        ("egt", FAST_TRAIN + "nu = 0\n", "[train] nu must lie in (0, 1], got 0.0"),
+        ("montecarlo", FAST_TRAIN + "mc_batch = 0\n", "[train] mc_batch must be at least 1, got 0"),
         (
             "qlearning",
             FAST_TRAIN + "epsilon_greedy = 2\n",
-            "[train] epsilon_greedy must be a finite number in [0, 1], got 2.0",
+            "[train] epsilon_greedy must lie in [0, 1], got 2.0",
         ),
-        ("egt", FAST_TRAIN + "\n[reward]\nstep_penalty = -1\n", "[reward] step_penalty must be non-negative"),
+        ("egt", FAST_TRAIN + "\n[reward]\nstep_penalty = -1\n", "[reward] step_penalty must be at least 0, got -1.0"),
     ],
     ids=["num_agents", "nu", "mc_batch", "epsilon_greedy", "step_penalty"],
 )
@@ -257,6 +264,108 @@ def test_unreadable_map_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# setting bounds: every one goes through gridworld.check_range
+
+
+def _after(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _before(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+GRID = parse_map(STRIP)
+ENV = EnvConfig(grid=GRID, horizon=6)
+UNIFORM = TabularPolicy.uniform(GRID)
+
+
+def _rewards(**given) -> RewardParams:
+    return RewardParams(**{"step_penalty": 1.0, "goal_reward": 10.0, "collision_penalty": 5.0, "horizon": 4, **given})
+
+
+# (name the message starts with, INI key or None, build(value), finite values accepted, finite values rejected).
+# Integer settings step by 1 past a bound, float ones to the next float.
+BOUNDED = [
+    ("gamma", None, lambda v: Valuation("discounted_sum", v), [0, 1], [_before(0.0), _after(1.0)]),
+    ("step_penalty", "reward.step_penalty", lambda v: _rewards(step_penalty=v), [0.0], [_before(0.0)]),
+    ("goal_reward", "reward.goal_reward", lambda v: _rewards(goal_reward=v), [5.0], []),
+    ("collision_penalty", "reward.collision_penalty", lambda v: _rewards(collision_penalty=v), [10.0], []),
+    ("horizon", None, lambda v: _rewards(horizon=v), [1], [0]),
+    ("gamma", "reward.gamma", lambda v: _rewards(gamma=v), [0.0, 1.0], [_before(0.0), _after(1.0)]),
+    ("width", None, lambda v: GridMap(v, 2, frozenset(), frozenset({Cell(0, 0)}), frozenset({Cell(0, 1)})), [1], [0]),
+    ("height", None, lambda v: GridMap(2, v, frozenset(), frozenset({Cell(0, 0)}), frozenset({Cell(1, 0)})), [1], [0]),
+    ("num_agents", "env.num_agents", lambda v: EnvConfig(grid=GRID, num_agents=v), [1], [0]),
+    # horizon 0 asks for the default, so -1 is the nearest value rejected.
+    ("horizon", "env.horizon", lambda v: EnvConfig(grid=GRID, horizon=v), [1], [-1]),
+    ("slip_probability", "env.slip_probability", lambda v: EnvConfig(grid=GRID, slip_probability=v),
+     [0.0, 1.0], [_before(0.0), _after(1.0)]),
+    ("[env] seed", None, lambda v: RunConfig({"env": {"seed": v}}).seed(), [0], [-1]),
+    ("nu", "train.nu", lambda v: TrainConfig(env=ENV, nu=v), [_after(0.0), 1.0], [0.0, _after(1.0)]),
+    ("epsilon", "train.epsilon", lambda v: TrainConfig(env=ENV, epsilon=v), [0.0, 1.0], [_before(0.0), _after(1.0)]),
+    ("alpha", "train.alpha", lambda v: TrainConfig(env=ENV, alpha=v), [_after(0.0), 1.0], [0.0, _after(1.0)]),
+    ("batch_size", "train.batch_size", lambda v: TrainConfig(env=ENV, batch_size=v), [1], [0]),
+    ("max_iterations", "train.max_iterations", lambda v: TrainConfig(env=ENV, max_iterations=v), [1], [0]),
+    ("patience", "train.patience", lambda v: TrainConfig(env=ENV, patience=v), [1], [0]),
+    ("delta", "train.delta", lambda v: TrainConfig(env=ENV, delta=v), [_after(0.0)], [0.0]),
+    ("episodes", "train.episodes", lambda v: LearnerParams(episodes=v), [1], [0]),
+    ("mc_batch", "train.mc_batch", lambda v: LearnerParams(mc_batch=v), [1], [0]),
+    *((name, f"train.{name}", lambda v, name=name: LearnerParams(**{name: v}), [0.0, 1.0], [_before(0.0), _after(1.0)])
+      for name in ("learning_rate", "epsilon_greedy", "epsilon_decay", "epsilon_min")),
+    ("sizes", "suite.sizes", lambda v: SuiteConfig(sizes=(5, v), agents=(1,)), [2], [1]),
+    ("agents", "suite.agents", lambda v: SuiteConfig(sizes=(5,), agents=(v, 2)), [1], [0]),
+    ("eval_episodes", "suite.eval_episodes", lambda v: SuiteConfig((5,), (1,), eval_episodes=v), [1], [0]),
+    ("train_episodes", "suite.train_episodes", lambda v: SuiteConfig((5,), (1,), train_episodes=v), [1], [0]),
+    ("density", "suite.density", lambda v: SuiteConfig((5,), (1,), density=v), [0.0, 0.4], [_before(0.0), _after(0.4)]),
+    ("slip_probability", "suite.slip_probability", lambda v: SuiteConfig((5,), (1,), slip_probability=v),
+     [0.0, 1.0], [_before(0.0), _after(1.0)]),
+    ("seed", None, lambda v: SuiteConfig((5,), (1,), seed=v), [0], [-1]),
+    ("density", None, lambda v: generate_map(4, 4, v, np.random.default_rng(0)), [0.0, 0.4], [_before(0.0), _after(0.4)]),
+    ("episodes", None, lambda v: evaluate(UNIFORM, ENV, v, np.random.default_rng(0)), [1], [0]),
+    ("batch_size", None, lambda v: sample_batch(UNIFORM, GridEnv(ENV), reach_avoid_machine(RewardParams.default_for(6)),
+                                                Valuation("sum"), v, np.random.default_rng(0)), [1], [0]),
+    ("alpha", None, lambda v: replicator_update(UNIFORM, FitnessTable.zeros(GRID), v), [0.0, 1.0],
+     [_before(0.0), _after(1.0)]),
+    ("mixing weight", None, lambda v: mix_with_uniform(UNIFORM, v), [0.0, 1.0], [_before(0.0), _after(1.0)]),
+]
+
+
+def _build_from_ini(tmp_path, key: str, text: str) -> None:
+    """Load key = text through load_config and build the section it belongs to."""
+    (tmp_path / "strip.map").write_text(STRIP)
+    overrides = {"env.map": str(tmp_path / "strip.map"), "suite.sizes": "5", "suite.agents": "1", key: text}
+    config = load_config(None, overrides)
+    section = key.partition(".")[0]
+    if section == "suite":
+        config.build_suite()
+        return
+    env = config.build_env()
+    rewards = config.build_rewards(env.horizon)
+    config.build_train(env, rewards)
+    config.build_learner_params()
+
+
+@pytest.mark.parametrize("name, key, build, accepted, rejected", BOUNDED,
+                         ids=[f"{row[0]}-{i}" for i, row in enumerate(BOUNDED)])
+def test_every_bound_accepts_its_edges_and_rejects_the_rest(tmp_path, name, key, build, accepted, rejected):
+    for value in accepted:
+        build(value)
+    for value in [*rejected, math.nan, math.inf, -math.inf]:
+        with pytest.raises(ConfigError) as caught:
+            build(value)
+        message = str(caught.value)
+        assert message.startswith(f"{name} must ") and f", got {value!r}" in message
+    if key is None:
+        return
+    section, _, field = key.partition(".")
+    non_finite = ["nan", "inf", "-inf"] if KEYS[section][field][0] is float else []  # an integer key fails to parse
+    for text in [str(v) for v in rejected] + non_finite:
+        with pytest.raises(ConfigError) as caught:
+            _build_from_ini(tmp_path, key, text)
+        assert str(caught.value).startswith(f"[{section}] {name} must ") and ", got " in str(caught.value)
+
+
+# ---------------------------------------------------------------------------
 # genmap
 
 
@@ -311,7 +420,7 @@ def test_negative_seeds_exit_2_naming_the_seed(strip_config, tmp_path, capsys, c
     argv = [arg.format(config=strip_config, policy=policy, out=out) for arg in command]
     assert main(argv) == 2
     seed = argv[argv.index("--seed") + 1]
-    assert f"seed must be non-negative, got {seed}" in capsys.readouterr().err
+    assert f"seed must be at least 0, got {seed}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -327,7 +436,7 @@ def test_negative_seeds_exit_2_naming_the_seed(strip_config, tmp_path, capsys, c
         (["--sizes", "-3"], "", "[suite] sizes must be at least 2, got -3"),
         (["--sizes", "5,1"], "", "[suite] sizes must be at least 2, got 1"),
         ([], "slip_probability = 1.5\n", "[suite] slip_probability must lie in [0, 1], got 1.5"),
-        ([], "slip_probability = nan\n", "[suite] slip_probability must lie in [0, 1], got nan"),
+        ([], "slip_probability = nan\n", "[suite] slip_probability must be finite, got nan"),
         (
             ["--algos", "dqn"],
             "",

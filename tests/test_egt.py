@@ -666,7 +666,7 @@ def test_train_config_validation():
 def test_train_config_rejects_a_non_finite_delta():
     env = EnvConfig(grid=STRIP, horizon=6)
     for delta in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="delta must be positive and finite"):
+        with pytest.raises(ConfigError, match="delta must be finite"):
             TrainConfig(env=env, delta=delta)
 
 

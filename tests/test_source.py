@@ -110,3 +110,55 @@ def test_every_traced_name_resolves_where_the_tracer_patches_it(module_name, qua
         assert attr in vars(getattr(module, cls_name)), qualname
     else:
         assert callable(getattr(module, qualname, None)), qualname
+
+
+# The wording of a bound on one setting; a relation between two settings,
+# such as `goal_reward must be at least collision_penalty`, is not one.
+BOUND_WORDING = re.compile(r"must (lie in|be finite|be positive|be non-negative|be at least (?![A-Za-z_]))")
+
+
+def bound_messages(source: str) -> list[str]:
+    """Text of each string in the source that words a bound, outside any function named check_range.
+
+    An f-string reads with `{}` for each formatted value, so `f"{name} must
+    be at least {least}"` reads `{} must be at least {}`.
+    """
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "check_range"
+        for node in ast.walk(func)
+    }
+    texts = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            texts.append("".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values))
+            exempt.update(map(id, node.values))  # read above as parts of this string
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            texts.append(node.value)
+    return [text for text in texts if BOUND_WORDING.search(text)]
+
+
+def test_the_checker_finds_a_bound_worded_outside_the_helper():
+    source = '''
+def check_range(name, value, low):
+    raise ValueError(f"{name} must be at least {low}")
+
+def f(x, least):
+    if x < least:
+        raise ValueError(f"x must be at least {least}, got {x}")
+    if x < 0:
+        raise ValueError("x must be non-negative")
+    if x > 2 * least:
+        raise ValueError("x must be at least least, twice over")
+'''
+    assert bound_messages(source) == ["x must be at least {}, got {}", "x must be non-negative"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_check_range_words_a_bound(path):
+    """Every range check goes through gridworld.check_range, which owns the wording of its message."""
+    assert bound_messages(path.read_text()) == []
