@@ -177,24 +177,21 @@ def credit_first_visits(
 ) -> None:
     """Add each trajectory's first-visit returns to the flat (cell * 5 + action) sums and counts.
 
-    step_reward holds the reward of each event code.  Returns-to-go walk
+    step_reward holds the reward of each event code, and the keys are
+    BatchRollout.visit_keys's, as in estimate_fitness.  Returns-to-go walk
     back from each trajectory's last step, ret = reward + gamma * ret, as
     a loop over one trajectory would.  Each distinct (trajectory, cell,
     action) key takes the return of its earliest step, and np.add.at adds
     the keys in trajectory order, so every sum adds its returns in
     (episode, agent) order, one at a time.
     """
-    episodes, agents, span = rolled.actions.shape
-    taken = np.arange(span) < rolled.lengths[:, :, None]
+    keys, taken = rolled.visit_keys(sums.size)
     reward = np.where(taken, step_reward[rolled.events], 0.0)
     returns = np.empty_like(reward)
-    ret = np.zeros((episodes, agents))
-    for t in range(span - 1, -1, -1):
+    ret = np.zeros(reward.shape[:2])
+    for t in range(reward.shape[2] - 1, -1, -1):
         ret = reward[:, :, t] + gamma * ret
         returns[:, :, t] = ret
-    # Agent i of episode b is trajectory b * agents + i; action t was taken in cell t.
-    owner = np.arange(episodes * agents).reshape(episodes, agents, 1)
-    keys = (owner * sums.size + rolled.cells[:, :, :-1] * NUM_ACTIONS + rolled.actions)[taken]
     # np.unique sorts by trajectory first, and its index is each key's earliest step.
     distinct, earliest = np.unique(keys, return_index=True)
     slot = distinct % sums.size

@@ -192,6 +192,8 @@ def generate_map(width: int, height: int, density: float, rng: np.random.Generat
     """Random map: uniform obstacles at the given density, one goal per
     GOAL_REGION x GOAL_REGION tile (at least one), every free cell
     connected to some goal.  Rejected draws are retried."""
+    check_range("width", width, 1)
+    check_range("height", height, 1)
     check_range("density", density, 0, 0.4)
     total = width * height
     n_obstacles = round(density * total)

@@ -9,11 +9,12 @@ from dataclasses import fields
 
 import numpy as np
 
+from .automaton import Valuation
 from .baselines import learn
 from .bench import METRIC_FORMATS, evaluate, generate_map, metrics_row, run_suite, write_csv
-from .config import TRAINABLE_ALGORITHMS, RunConfig, load_config
+from .config import KEYS, TRAINABLE_ALGORITHMS, RunConfig, load_config
 from .egt import load_policy, save_policy, train
-from .gridworld import ConfigError, EnvConfig, MapParseError, format_map
+from .gridworld import EnvConfig, format_map
 
 
 def _text(value) -> str:
@@ -21,12 +22,19 @@ def _text(value) -> str:
         return repr(value)
     if isinstance(value, tuple):
         return ",".join(map(str, value))
+    if isinstance(value, Valuation):
+        return value.kind
     return str(value)
 
 
 def _echo(section: str, obj, names) -> dict[str, str]:
     """`section.name` header entries for the named attributes of obj."""
     return {f"{section}.{name}": _text(getattr(obj, name)) for name in names}
+
+
+def _echo_keys(section: str, obj) -> dict[str, str]:
+    """`section.key` header entries for every field of obj that is a [section] key."""
+    return _echo(section, obj, (field.name for field in fields(obj) if field.name in KEYS[section]))
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -38,7 +46,7 @@ def _echo_env(config: RunConfig, env: EnvConfig) -> dict[str, str]:
     return {
         "env.map": config.get("env", "map"),
         **_echo("env", env.grid, ("width", "height")),
-        **_echo("env", env, ("num_agents", "horizon", "slip_probability")),
+        **_echo_keys("env", env),
         "env.seed": str(config.seed()),
     }
 
@@ -50,19 +58,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     rewards = config.build_rewards(env.horizon)
     rng = np.random.default_rng(config.seed())
 
-    header = {
-        **_echo_env(config, env),
-        **_echo("reward", rewards, ("step_penalty", "goal_reward", "collision_penalty", "gamma")),
-        "train.algorithm": algorithm,
-    }
+    header = {**_echo_env(config, env), **_echo_keys("reward", rewards), "train.algorithm": algorithm}
     if algorithm == "egt":
-        train_config = config.build_train(env, rewards)
-        result = train(train_config, rng)
+        settings = config.build_train(env, rewards)
+        result = train(settings, rng)
         policy = result.policy
-        names = ("nu", "epsilon", "alpha", "batch_size", "max_iterations", "patience")
-        header.update(_echo("train", train_config, names))
-        header["train.delta"] = repr(train_config.delta)
-        header["train.valuation"] = train_config.valuation.kind
         outcome = {
             "iterations": result.iterations,
             "termination": result.termination,
@@ -71,11 +71,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             "wall_clock_seconds": result.wall_clock_seconds,
         }
     else:
-        params = config.build_learner_params()
+        settings = config.build_learner_params()
         started = time.perf_counter()
-        policy = learn(algorithm, env, rewards, params, rng)
-        header.update(_echo("train", params, ("episodes",)))
-        outcome = {"episodes": params.episodes, "wall_clock_seconds": time.perf_counter() - started}
+        policy = learn(algorithm, env, rewards, settings, rng)
+        outcome = {"episodes": settings.episodes, "wall_clock_seconds": time.perf_counter() - started}
+    header.update(_echo_keys("train", settings))
 
     save_policy(policy, args.out, header)
     with open(args.out + ".report.json", "w") as fh:
@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MapParseError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and MapParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -6,7 +6,9 @@ visited (cell, action) pair by the mean return of the trajectories that
 contain it, pulls the policy toward the replicator-weighted distribution
 on the observed actions, and blends in a decaying amount of the uniform
 policy for exploration.  Training stops when the batch return stops
-improving or the iteration cap is hit.
+improving or the iteration cap is hit.  The batch stays in arrays from
+roll to replicator step: fitness is a pair of flat sums and counts over
+the slots cell * 5 + action, keyed by BatchRollout.visit_keys.
 """
 from __future__ import annotations
 
@@ -107,25 +109,6 @@ class TabularPolicy:
 
 
 @dataclass
-class FitnessTable:
-    """Batch fitness aggregates: mean trajectory return per visited (cell, action) pair."""
-
-    action_sums: np.ndarray  # (H, W, A)
-    action_counts: np.ndarray  # (H, W, A) ints
-
-    @classmethod
-    def zeros(cls, grid: GridMap) -> "FitnessTable":
-        shape = (grid.height, grid.width, NUM_ACTIONS)
-        return cls(action_sums=np.zeros(shape), action_counts=np.zeros(shape, dtype=np.int64))
-
-    def action_fitness(self, cell: Cell, action: Action) -> float:
-        count = self.action_counts[cell.y, cell.x, action]
-        if count == 0:
-            raise ValueError(f"no observation of action {action.name} at {cell}")
-        return float(self.action_sums[cell.y, cell.x, action] / count)
-
-
-@dataclass
 class EpisodeBatch:
     """A rolled batch and each agent's return; rollout objects are built on first read."""
 
@@ -163,29 +146,20 @@ def sample_batch(
     return EpisodeBatch(rolled, score_observations(machine, *rolled.observations(), valuation), env)
 
 
-def estimate_fitness(batch: EpisodeBatch, grid: GridMap) -> FitnessTable:
-    """Score each visited (cell, action) pair by mean trajectory return.
+def estimate_fitness(batch: EpisodeBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Flat sums and counts of trajectory returns per (cell, action) slot cell * 5 + action.
 
-    A trajectory contributes its whole return once to every distinct pair
-    it contains, regardless of how often the pair repeats within it.
-    Distinct (trajectory, cell, action) keys sort by trajectory, so each
-    sum accumulates its returns in trajectory order.
+    A pair's fitness, the mean return of the trajectories that take it, is
+    its sum over its count.  A trajectory adds its whole return once to
+    every distinct pair it takes, however often it repeats the pair.
+    Distinct visit keys sort by trajectory, so each sum adds in trajectory order.
     """
-    rolled = batch.rolled
-    episodes, agents, span = rolled.actions.shape
-    # Agent i of episode b is trajectory b * agents + i; action t was taken in cell t.
-    owner = np.arange(episodes * agents).reshape(episodes, agents, 1)
-    taken = np.arange(span) < rolled.lengths[:, :, None]
-    bins = grid.width * grid.height * NUM_ACTIONS
-    keys = _distinct((owner * bins + rolled.cells[:, :, :-1] * NUM_ACTIONS + rolled.actions)[taken])
+    bins = len(batch.env.cells) * NUM_ACTIONS
+    keys = _distinct(batch.rolled.visit_keys(bins)[0])
     slot = keys % bins
     # astype: bincount of no keys comes back integer even with weights.
     sums = np.bincount(slot, weights=batch.returns.reshape(-1)[keys // bins], minlength=bins)
-    shape = (grid.height, grid.width, NUM_ACTIONS)
-    return FitnessTable(
-        action_sums=sums.astype(float, copy=False).reshape(shape),
-        action_counts=np.bincount(slot, minlength=bins).reshape(shape),
-    )
+    return sums.astype(float, copy=False), np.bincount(slot, minlength=bins)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -196,26 +170,25 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def replicator_update(
-    policy: TabularPolicy, fitness: FitnessTable, alpha: float
-) -> TabularPolicy:
+def replicator_update(policy: TabularPolicy, sums: np.ndarray, counts: np.ndarray, alpha: float) -> TabularPolicy:
     """One replicator step toward fitness-proportional mass on observed actions.
 
-    Per cell with at least one observed action: shift the observed
-    fitness values to be positive, weight the current probabilities by
-    them, renormalise to the prior mass of the observed actions, and step
-    with size alpha.  Unobserved actions keep their prior mass, so each
-    row stays on the simplex.  alpha = 0 is the identity.
+    sums and counts are estimate_fitness's flat arrays.  Per cell with at
+    least one observed action: shift the observed fitness values to be
+    positive, weight the current probabilities by them, renormalise to
+    the prior mass of the observed actions, and step with size alpha.
+    Unobserved actions keep their prior mass, so each row stays on the
+    simplex.  alpha = 0 is the identity.
     """
     check_range("alpha", alpha, 0, 1)
     probs = policy.probs.reshape(-1, NUM_ACTIONS).copy()
-    counts = fitness.action_counts.reshape(-1, NUM_ACTIONS)
+    counts = counts.reshape(-1, NUM_ACTIONS)
     observed = counts > 0
     prior = np.where(observed, probs, 0.0)
     mass = _row_sum(prior)
     rows = np.flatnonzero(observed.any(axis=1) & (mass > 0.0))
     observed, prior, mass = observed[rows], prior[rows], mass[rows, None]
-    f = fitness.action_sums.reshape(-1, NUM_ACTIONS)[rows] / np.maximum(counts[rows], 1)
+    f = sums.reshape(-1, NUM_ACTIONS)[rows] / np.maximum(counts[rows], 1)
     f = f - np.where(observed, f, np.inf).min(axis=1, keepdims=True) + 1.0
     weighted = np.where(observed, prior * f, 0.0)
     target = weighted / _row_sum(weighted)[:, None] * mass
@@ -317,13 +290,11 @@ def train(config: TrainConfig, rng: np.random.Generator) -> TrainReport:
     best = -np.inf
     strikes = 0
     termination = "iteration_cap"
-    iterations = 0
 
     for _ in range(config.max_iterations):
         batch = sample_batch(policy, env, machine, config.valuation, config.batch_size, rng)
         eta = batch.expected_return
         batch_returns.append(eta)
-        iterations += 1
         if eta - best >= config.delta:
             best = eta
             strikes = 0
@@ -332,15 +303,14 @@ def train(config: TrainConfig, rng: np.random.Generator) -> TrainReport:
             if strikes >= config.patience:
                 termination = "converged"
                 break
-        fitness = estimate_fitness(batch, config.env.grid)
-        policy = replicator_update(policy, fitness, config.alpha)
+        policy = replicator_update(policy, *estimate_fitness(batch), config.alpha)
         mix_weight = max(config.epsilon, mix_weight - config.nu)
         policy = mix_with_uniform(policy, mix_weight)
 
     return TrainReport(
         policy=policy,
         batch_returns=batch_returns,
-        iterations=iterations,
+        iterations=len(batch_returns),
         termination=termination,
         wall_clock_seconds=time.perf_counter() - started,
         final_mix_weight=mix_weight,

@@ -492,6 +492,17 @@ class BatchRollout:
         in_goal[arrival & self.reached[:, :, None]] = True
         return in_goal, collided, self.lengths + self.reached
 
+    def visit_keys(self, bins: int) -> tuple[np.ndarray, np.ndarray]:
+        """Key trajectory * bins + cell * 5 + action of each step taken, and the (B, N, S) taken mask.
+
+        bins is cells * 5.  Agent i of episode b is trajectory b * N + i, action t
+        was taken in cell t, and the keys run in (episode, agent, step) order.
+        """
+        episodes, agents, span = self.actions.shape
+        owner = np.arange(episodes * agents).reshape(episodes, agents, 1)
+        taken = np.arange(span) < self.lengths[:, :, None]
+        return (owner * bins + self.cells[:, :, :-1] * len(ACTIONS) + self.actions)[taken], taken
+
     def rollouts(self, env: GridEnv) -> list[EpisodeRollout]:
         """The same episodes as EpisodeRollout objects."""
         out = []

@@ -26,7 +26,6 @@ from evomapf.baselines import astar
 from evomapf.bench import evaluate, generate_map, train_in_workers
 from evomapf.cli import main as cli_main
 from evomapf.egt import (
-    FitnessTable,
     TabularPolicy,
     TrainConfig,
     estimate_fitness,
@@ -216,8 +215,7 @@ def test_04_replicator_simplex_invariants():
     min_entry = np.inf
     for _ in range(100):
         batch = sample_batch(policy, env, machine, valuation, 16, rng)
-        fitness = estimate_fitness(batch, grid)
-        policy = replicator_update(policy, fitness, 0.5)
+        policy = replicator_update(policy, *estimate_fitness(batch), 0.5)
         for probs in (policy.probs,):
             worst_row_error = max(worst_row_error, float(np.abs(probs.sum(axis=2) - 1.0).max()))
             min_entry = min(min_entry, float(probs.min()))
@@ -226,11 +224,9 @@ def test_04_replicator_simplex_invariants():
         worst_row_error = max(worst_row_error, float(np.abs(policy.probs.sum(axis=2) - 1.0).max()))
         min_entry = min(min_entry, float(policy.probs.min()))
 
-    # A fitness table that is constant over all actions must not move the policy.
-    flat = FitnessTable.zeros(grid)
-    flat.action_counts[:] = 1
-    flat.action_sums[:] = 3.7
-    fixed = replicator_update(policy, flat, 0.7)
+    # Fitness that is constant over all actions must not move the policy.
+    slots = policy.probs.size
+    fixed = replicator_update(policy, np.full(slots, 3.7), np.ones(slots, dtype=np.int64), 0.7)
     drift = float(np.abs(fixed.probs - policy.probs).max())
 
     ok = worst_row_error <= 1e-9 and min_entry >= 0.0 and drift <= 1e-12

@@ -19,7 +19,7 @@ from evomapf.baselines import (
     qlearning_table,
 )
 from evomapf.bench import generate_map
-from evomapf.egt import NUM_ACTIONS, TabularPolicy
+from evomapf.egt import NUM_ACTIONS, EpisodeBatch, TabularPolicy, estimate_fitness
 from evomapf.gridworld import (
     COLLISION_EVENTS,
     Action,
@@ -551,3 +551,19 @@ def test_batched_monte_carlo_learns_like_the_scalar_oracle():
     error = np.sqrt(batched.var(axis=0, ddof=1) / 40 + oracle.var(axis=0, ddof=1) / 40)
     assert np.all(np.abs(difference) <= 4 * error), (difference, error)
     assert np.all(oracle.mean(axis=0) > 0.4)
+
+
+def test_monte_carlo_and_egt_count_the_same_distinct_visits():
+    """On one roll_batch result, credit_first_visits from zero counts each (cell, action) slot as
+    often as estimate_fitness does: both key the same distinct (trajectory, cell, action) visits."""
+    grid = parse_map("....#\n.#..G\n..#..\nG....\n")
+    env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=16))
+    uniform = TabularPolicy.uniform(grid).cumulative().reshape(-1, NUM_ACTIONS)
+    rolled = roll_batch(env, uniform, np.random.default_rng(4).integers(0, 2**63 - 1, size=32))
+    returns = np.random.default_rng(5).normal(size=rolled.lengths.shape)
+    _, egt_counts = estimate_fitness(EpisodeBatch(rolled, returns, env))
+    sums, counts = np.zeros(egt_counts.size), np.zeros(egt_counts.size, dtype=np.int64)
+    credit_first_visits(rolled, np.ones(len(STEP_EVENTS)), 0.9, sums, counts)
+    assert np.array_equal(counts, egt_counts)
+    # Pairs repeat within trajectories, so both must drop the repeats.
+    assert 0 < counts.sum() < rolled.lengths.sum()

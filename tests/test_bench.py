@@ -381,11 +381,13 @@ def test_generate_map_rejects_bad_density():
 
 
 def test_generate_map_rejects_a_size_below_one():
-    # No map is ever built at such a size: a zero side leaves no goal tile to draw, a negative one no array.
-    with pytest.raises(ConfigError, match="could not generate a connected 0x5 map"):
-        generate_map(0, 5, 0.1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        generate_map(-1, 5, 0.1, np.random.default_rng(0))
+    """A side below 1 is rejected by name before the first draw: the generator is left untouched."""
+    for width, height in ((0, 5), (-1, 5), (5, 0), (5, -1)):
+        rng = np.random.default_rng(0)
+        name, value = ("width", width) if width < 1 else ("height", height)
+        with pytest.raises(ConfigError, match=f"^{name} must be at least 1, got {value}$"):
+            generate_map(width, height, 0.1, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from evomapf.baselines import LearnerParams
 from evomapf.bench import SuiteConfig, evaluate, generate_map
 from evomapf.cli import main
 from evomapf.config import KEYS, RunConfig, load_config
-from evomapf.egt import FitnessTable, TabularPolicy, TrainConfig, mix_with_uniform, replicator_update, sample_batch
+from evomapf.egt import TabularPolicy, TrainConfig, mix_with_uniform, replicator_update, sample_batch
 from evomapf.gridworld import Cell, ConfigError, EnvConfig, GridEnv, GridMap, parse_map
 
 STRIP = "....G\n"
@@ -324,9 +324,11 @@ BOUNDED = [
     ("episodes", None, lambda v: evaluate(UNIFORM, ENV, v, np.random.default_rng(0)), [1], [0]),
     ("batch_size", None, lambda v: sample_batch(UNIFORM, GridEnv(ENV), reach_avoid_machine(RewardParams.default_for(6)),
                                                 Valuation("sum"), v, np.random.default_rng(0)), [1], [0]),
-    ("alpha", None, lambda v: replicator_update(UNIFORM, FitnessTable.zeros(GRID), v), [0.0, 1.0],
-     [_before(0.0), _after(1.0)]),
+    ("alpha", None, lambda v: replicator_update(UNIFORM, np.zeros(UNIFORM.probs.size), np.zeros(UNIFORM.probs.size, int),
+                                                v), [0.0, 1.0], [_before(0.0), _after(1.0)]),
     ("mixing weight", None, lambda v: mix_with_uniform(UNIFORM, v), [0.0, 1.0], [_before(0.0), _after(1.0)]),
+    ("width", None, lambda v: generate_map(v, 4, 0.0, np.random.default_rng(0)), [1], [0]),
+    ("height", None, lambda v: generate_map(4, v, 0.0, np.random.default_rng(0)), [1], [0]),
 ]
 
 
@@ -394,6 +396,14 @@ def test_genmap_writes_a_file(tmp_path, capsys):
     assert f"wrote 8x3 map to {out}" in capsys.readouterr().out
     grid = parse_map(open(out).read())
     assert (grid.width, grid.height) == (8, 3)
+
+
+@pytest.mark.parametrize("side", [0, -1])
+def test_genmap_rejects_a_size_below_one(capsys, side):
+    assert main(["genmap", "--width", str(side), "--height", "5"]) == 2
+    assert capsys.readouterr().err == f"error: width must be at least 1, got {side}\n"
+    assert main(["genmap", "--width", "5", "--height", str(side)]) == 2
+    assert capsys.readouterr().err == f"error: height must be at least 1, got {side}\n"
 
 
 def test_genmap_reports_impossible_boards(capsys):
@@ -566,6 +576,11 @@ def test_train_and_eval_echo_the_resolved_configuration(strip_config, tmp_path, 
     q_config = [line.format(seed=0) for line in ECHOED_ENV] + ECHOED_REWARD + [
         "# train.algorithm = qlearning",
         "# train.episodes = 30",
+        "# train.epsilon_decay = 0.995",
+        "# train.epsilon_greedy = 0.2",
+        "# train.epsilon_min = 0.02",
+        "# train.learning_rate = 0.1",
+        "# train.mc_batch = 50",
     ]
     assert comment_lines(q) == sorted(q_config + ["# height = 1", "# width = 5"])
     assert json.load(open(q + ".report.json"))["config"] == as_config(q_config)

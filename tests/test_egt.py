@@ -21,7 +21,6 @@ from evomapf.automaton import (
 from evomapf.bench import generate_map
 from evomapf.egt import (
     EpisodeBatch,
-    FitnessTable,
     TabularPolicy,
     TrainConfig,
     estimate_fitness,
@@ -60,13 +59,24 @@ def single_action_policy(grid, action: Action) -> TabularPolicy:
     return TabularPolicy(policy.width, policy.height, probs, policy.cells)
 
 
-def fitness_with(grid, observations) -> FitnessTable:
-    """Fitness table holding exactly the given {(cell, action): value} scores."""
-    table = FitnessTable.zeros(grid)
+def slot(cell: Cell, action: Action, grid=STRIP) -> int:
+    """The flat fitness slot of (cell, action): cell * 5 + action."""
+    return (cell.y * grid.width + cell.x) * 5 + action
+
+
+def no_fitness(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat fitness sums and counts with nothing observed."""
+    size = grid.width * grid.height * 5
+    return np.zeros(size), np.zeros(size, dtype=np.int64)
+
+
+def fitness_with(grid, observations) -> tuple[np.ndarray, np.ndarray]:
+    """Flat fitness sums and counts holding exactly the given {(cell, action): value} scores."""
+    sums, counts = no_fitness(grid)
     for (cell, action), value in observations.items():
-        table.action_sums[cell.y, cell.x, action] = value
-        table.action_counts[cell.y, cell.x, action] = 1
-    return table
+        sums[slot(cell, action, grid)] = value
+        counts[slot(cell, action, grid)] = 1
+    return sums, counts
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +185,18 @@ def test_estimate_fitness_scores_pairs_by_trajectory_return():
         actions=[Action.RIGHT],
         events=[StepEvent.MOVED],
     )
-    table = estimate_fitness(_batch_of([(traj, 7.0)]), STRIP)
-    assert table.action_fitness(Cell(0, 0), Action.RIGHT) == 7.0
+    sums, counts = estimate_fitness(_batch_of([(traj, 7.0)]))
+    right = slot(Cell(0, 0), Action.RIGHT)
+    assert (sums[right], counts[right]) == (7.0, 1)
 
 
 def test_estimate_fitness_averages_across_trajectories():
     mk = lambda: AgentTrajectory(
         cells=[Cell(0, 0), Cell(1, 0)], actions=[Action.RIGHT], events=[StepEvent.MOVED]
     )
-    table = estimate_fitness(_batch_of([(mk(), 4.0), (mk(), 10.0)]), STRIP)
-    assert table.action_fitness(Cell(0, 0), Action.RIGHT) == 7.0
+    sums, counts = estimate_fitness(_batch_of([(mk(), 4.0), (mk(), 10.0)]))
+    right = slot(Cell(0, 0), Action.RIGHT)
+    assert sums[right] / counts[right] == 7.0
 
 
 def test_estimate_fitness_counts_each_pair_once_per_trajectory():
@@ -193,17 +205,21 @@ def test_estimate_fitness_counts_each_pair_once_per_trajectory():
         actions=[Action.RIGHT, Action.LEFT, Action.RIGHT],
         events=[StepEvent.MOVED] * 3,
     )
-    table = estimate_fitness(_batch_of([(loop, 6.0)]), STRIP)
-    assert table.action_counts[0, 0, Action.RIGHT] == 1
-    assert table.action_fitness(Cell(0, 0), Action.RIGHT) == 6.0
+    sums, counts = estimate_fitness(_batch_of([(loop, 6.0)]))
+    right = slot(Cell(0, 0), Action.RIGHT)
+    assert (sums[right], counts[right]) == (6.0, 1)
     # Only the two distinct pairs count; the padding past the last step does not.
-    assert table.action_counts.sum() == 2
+    assert counts.sum() == 2
 
 
 def test_unobserved_pairs_have_no_fitness():
-    table = FitnessTable.zeros(STRIP)
-    with pytest.raises(ValueError, match="no observation of action"):
-        table.action_fitness(Cell(0, 0), Action.UP)
+    """The arrays are flat over the map's cells * 5 slots; every slot but the visited pair's stays 0."""
+    traj = AgentTrajectory(cells=[Cell(0, 0), Cell(1, 0)], actions=[Action.RIGHT], events=[StepEvent.MOVED])
+    sums, counts = estimate_fitness(_batch_of([(traj, 7.0)]))
+    assert sums.shape == counts.shape == (STRIP.width * STRIP.height * 5,)
+    assert sums.dtype == np.float64 and counts.dtype == np.int64
+    unobserved = np.arange(sums.size) != slot(Cell(0, 0), Action.RIGHT)
+    assert not sums[unobserved].any() and not counts[unobserved].any()
 
 
 # ---------------------------------------------------------------------------
@@ -215,35 +231,35 @@ def test_replicator_worked_example():
     probs = policy.probs.copy()
     probs[0, 0] = [0.5, 0.5, 0.0, 0.0, 0.0]
     policy = TabularPolicy(policy.width, policy.height, probs, policy.cells)
-    table = fitness_with(STRIP, {(Cell(0, 0), Action.UP): 3.0, (Cell(0, 0), Action.DOWN): 1.0})
+    fitness = fitness_with(STRIP, {(Cell(0, 0), Action.UP): 3.0, (Cell(0, 0), Action.DOWN): 1.0})
 
-    full = replicator_update(policy, table, alpha=1.0)
+    full = replicator_update(policy, *fitness, alpha=1.0)
     assert np.allclose(full.action_probs(Cell(0, 0)), [0.75, 0.25, 0, 0, 0])
 
-    half = replicator_update(policy, table, alpha=0.5)
+    half = replicator_update(policy, *fitness, alpha=0.5)
     assert np.allclose(half.action_probs(Cell(0, 0)), [0.625, 0.375, 0, 0, 0])
 
 
 def test_replicator_alpha_zero_is_the_identity():
     policy = TabularPolicy.uniform(STRIP)
-    table = fitness_with(STRIP, {(Cell(0, 0), Action.UP): 3.0, (Cell(0, 0), Action.DOWN): 1.0})
-    updated = replicator_update(policy, table, alpha=0.0)
+    fitness = fitness_with(STRIP, {(Cell(0, 0), Action.UP): 3.0, (Cell(0, 0), Action.DOWN): 1.0})
+    updated = replicator_update(policy, *fitness, alpha=0.0)
     assert np.array_equal(updated.probs, policy.probs)
 
 
 def test_replicator_uniform_fitness_is_a_fixed_point():
     policy = TabularPolicy.uniform(STRIP)
-    table = fitness_with(
+    fitness = fitness_with(
         STRIP, {(Cell(x, 0), a): 2.5 for x in range(4) for a in Action}
     )
-    updated = replicator_update(policy, table, alpha=1.0)
+    updated = replicator_update(policy, *fitness, alpha=1.0)
     assert np.max(np.abs(updated.probs - policy.probs)) < 1e-12
 
 
 def test_replicator_leaves_unobserved_rows_alone():
     policy = TabularPolicy.uniform(STRIP)
-    table = fitness_with(STRIP, {(Cell(0, 0), Action.RIGHT): 9.0})
-    updated = replicator_update(policy, table, alpha=1.0)
+    fitness = fitness_with(STRIP, {(Cell(0, 0), Action.RIGHT): 9.0})
+    updated = replicator_update(policy, *fitness, alpha=1.0)
     assert np.array_equal(updated.probs[0, 1], policy.probs[0, 1])
     # A single observed action keeps exactly its prior mass.
     assert updated.probs[0, 0, Action.RIGHT] == pytest.approx(0.2)
@@ -251,9 +267,8 @@ def test_replicator_leaves_unobserved_rows_alone():
 
 def test_replicator_rejects_alpha_outside_unit_interval():
     policy = TabularPolicy.uniform(STRIP)
-    table = FitnessTable.zeros(STRIP)
     with pytest.raises(ConfigError, match="alpha"):
-        replicator_update(policy, table, alpha=1.5)
+        replicator_update(policy, *no_fitness(STRIP), alpha=1.5)
 
 
 @given(
@@ -265,8 +280,8 @@ def test_replicator_rejects_alpha_outside_unit_interval():
 @settings(max_examples=100)
 def test_replicator_rows_stay_on_the_simplex(values, alpha):
     policy = TabularPolicy.uniform(STRIP)
-    table = fitness_with(STRIP, {(Cell(0, 0), a): v for a, v in zip(Action, values)})
-    updated = replicator_update(policy, table, alpha=alpha)
+    fitness = fitness_with(STRIP, {(Cell(0, 0), a): v for a, v in zip(Action, values)})
+    updated = replicator_update(policy, *fitness, alpha=alpha)
     row = updated.probs[0, 0]
     assert abs(row.sum() - 1.0) < 1e-9
     assert (row >= -1e-12).all()
@@ -281,8 +296,8 @@ def test_replicator_rows_stay_on_the_simplex(values, alpha):
 @settings(max_examples=100)
 def test_replicator_preserves_fitness_order_from_a_uniform_prior(values, alpha):
     policy = TabularPolicy.uniform(STRIP)
-    table = fitness_with(STRIP, {(Cell(0, 0), a): v for a, v in zip(Action, values)})
-    row = replicator_update(policy, table, alpha=alpha).probs[0, 0]
+    fitness = fitness_with(STRIP, {(Cell(0, 0), a): v for a, v in zip(Action, values)})
+    row = replicator_update(policy, *fitness, alpha=alpha).probs[0, 0]
     for i in range(5):
         for j in range(5):
             if values[i] >= values[j]:
@@ -302,12 +317,11 @@ def test_replicator_update_equals_the_row_loop(seed, alpha):
     probs = rng.random(shape) * (rng.random(shape) < 0.6)
     probs[probs.sum(axis=2) == 0, 0] = 1.0
     probs /= probs.sum(axis=2, keepdims=True)
-    table = FitnessTable.zeros(parse_map("...G\n....\n....\n"))
-    table.action_counts[:] = rng.integers(0, 3, shape) * (rng.random(shape) < 0.5)
-    table.action_sums[:] = rng.normal(0.0, 10.0 ** rng.integers(0, 4), shape) * table.action_counts
+    counts = rng.integers(0, 3, shape) * (rng.random(shape) < 0.5)
+    sums = rng.normal(0.0, 10.0 ** rng.integers(0, 4), shape) * counts
     policy = TabularPolicy(4, 3, probs, [])
-    updated = replicator_update(policy, table, alpha)
-    assert np.array_equal(updated.probs, replicator_step(probs, table.action_sums, table.action_counts, alpha))
+    updated = replicator_update(policy, sums.reshape(-1), counts.reshape(-1), alpha)
+    assert np.array_equal(updated.probs, replicator_step(probs, sums, counts, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +406,7 @@ class ScalarBatch:
 
     rollouts: list[EpisodeRollout]
     returns: list[list[float]]
+    env: GridEnv
 
     @property
     def expected_return(self) -> float:
@@ -406,15 +421,18 @@ def scalar_batch(policy, env, machine, valuation, batch_size, rng) -> ScalarBatc
         [valuate(machine.weights(t.observations()), valuation) for t in r.trajectories]
         for r in rollouts
     ]
-    return ScalarBatch(rollouts, returns)
+    return ScalarBatch(rollouts, returns, env)
 
 
-def scalar_fitness(batch, grid) -> FitnessTable:
-    return FitnessTable(*fitness_sums(grid.width, grid.height, batch))
+def scalar_fitness(batch) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_fitness's reference: the oracle's (H, W, A) tables, flattened."""
+    grid = batch.env.grid
+    return tuple(table.reshape(-1) for table in fitness_sums(grid.width, grid.height, batch))
 
 
-def scalar_replicator(policy, fitness, alpha) -> TabularPolicy:
-    probs = replicator_step(policy.probs, fitness.action_sums, fitness.action_counts, alpha)
+def scalar_replicator(policy, sums, counts, alpha) -> TabularPolicy:
+    shape = policy.probs.shape
+    probs = replicator_step(policy.probs, sums.reshape(shape), counts.reshape(shape), alpha)
     return TabularPolicy(policy.width, policy.height, probs, policy.cells)
 
 
@@ -430,9 +448,8 @@ def assert_same_batch(batch: EpisodeBatch, reference: ScalarBatch) -> None:
     assert batch.expected_return == reference.expected_return
 
 
-def assert_same_fitness(table: FitnessTable, reference: FitnessTable) -> None:
-    for name in ("action_sums", "action_counts"):
-        got, want = getattr(table, name), getattr(reference, name)
+def assert_same_fitness(fitness, reference) -> None:
+    for name, got, want in zip(("sums", "counts"), fitness, reference, strict=True):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
@@ -474,7 +491,7 @@ def test_batched_rollouts_equal_run_episode(world, policy_seed, zero_share, batc
     batch = sample_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
     reference = scalar_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
     assert_same_batch(batch, reference)
-    assert_same_fitness(estimate_fitness(batch, grid), scalar_fitness(reference, grid))
+    assert_same_fitness(estimate_fitness(batch), scalar_fitness(reference))
 
 
 @pytest.mark.parametrize(
