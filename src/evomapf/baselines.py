@@ -22,6 +22,7 @@ from .gridworld import (
     GridMap,
     STEP_EVENTS,
     check_range,
+    draw_batch,
     episode_steps,
     roll_batch,
     _REACHED,
@@ -147,10 +148,10 @@ def monte_carlo_table(
     """First-visit Monte-Carlo control on the shared table; returns the (H, W, A) Q-values.
 
     Q is frozen within each batch of mc_batch episodes, so a batch is one
-    roll_batch call under the epsilon-greedy table: each episode explores
-    with its own epsilon, which decays after every episode, and is
-    otherwise greedy (a row's first maximum).  Q is the running mean of
-    the first-visit returns that credit_first_visits adds up.
+    roll_batch call on draw_batch's draws from rng, under the epsilon-greedy
+    table: each episode explores with its own epsilon, which decays after
+    every episode, and is otherwise greedy (a row's first maximum).  Q is
+    the running mean of the first-visit returns that credit_first_visits adds up.
     """
     check_horizon(rewards, env_config)
     env = GridEnv(env_config)
@@ -165,8 +166,8 @@ def monte_carlo_table(
         mix = np.array(epsilons[first : first + params.mc_batch])
         # The greedy table's cumulative distribution: 0 before each row's first maximum, 1 from it on.
         greedy = np.eye(NUM_ACTIONS)[q.argmax(axis=1)].cumsum(axis=1)
-        seeds = rng.integers(0, 2**63 - 1, size=len(mix))
-        credit_first_visits(roll_batch(env, greedy, seeds, mix), step_reward, rewards.gamma, sums, counts)
+        rolled = roll_batch(env, greedy, draw_batch(env, len(mix), rng), mix)
+        credit_first_visits(rolled, step_reward, rewards.gamma, sums, counts)
         seen = counts > 0
         q.reshape(-1)[seen] = sums[seen] / counts[seen]
     return q.reshape(grid.height, grid.width, NUM_ACTIONS)

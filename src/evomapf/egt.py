@@ -39,6 +39,7 @@ from .gridworld import (
     GridEnv,
     GridMap,
     check_range,
+    draw_batch,
     roll_batch,
 )
 
@@ -134,15 +135,11 @@ def sample_batch(
     batch_size: int,
     rng: np.random.Generator,
 ) -> EpisodeBatch:
-    """Roll batch_size episodes, each on its own generator derived from rng.
-
-    The episodes are rolled and scored together by roll_batch and
-    score_observations; each equals run_episode on its generator, scored
-    by valuate(machine.weights(observations), valuation).
-    """
+    """Roll batch_size episodes at once on draw_batch's draws from rng and score them with
+    score_observations: each equals run_episode from its starts on its uniforms, scored by
+    valuate(machine.weights(observations), valuation)."""
     check_range("batch_size", batch_size, 1)
-    seeds = rng.integers(0, 2**63 - 1, size=batch_size)
-    rolled = roll_batch(env, policy.cumulative().reshape(-1, NUM_ACTIONS), seeds)
+    rolled = roll_batch(env, policy.cumulative().reshape(-1, NUM_ACTIONS), draw_batch(env, batch_size, rng))
     return EpisodeBatch(rolled, score_observations(machine, *rolled.observations(), valuation), env)
 
 

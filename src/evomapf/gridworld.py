@@ -13,9 +13,9 @@ touches; `episode_steps` plays an episode on it with one choose call
 per step, for Q-learning and `run_episode`, which draws one block of
 uniforms per step, or none under a one-hot policy at slip 0: it then reads
 each action from the policy's per-cell table and, once the live cells
-repeat, replays the cycle to the horizon.  `roll_batch` rolls many
-episodes at once with the same rules and draws.  An agent is its flat
-cell from `reset` on; `GridEnv.step` is advance on live `Cell`s.
+repeat, replays the cycle to the horizon.  `roll_batch` rolls a batch at
+once with the same rules, on the draws `draw_batch` makes in bulk.  An
+agent is its flat cell from `reset` on; `GridEnv.step` is advance on live `Cell`s.
 """
 from __future__ import annotations
 
@@ -571,23 +571,44 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(len(keys)) - first, np.searchsorted(keys, keys, side="right") - first
 
 
+class BatchDraws(NamedTuple):
+    """A batch's draws, one row per episode; the slip arrays are None at slip 0."""
+
+    starts: np.ndarray  # (B, N) flat start cells, as GridEnv.reset returns them
+    uniforms: np.ndarray  # (B, T * N) policy uniforms
+    slip_uniforms: np.ndarray | None = None  # (B, T * N) slip tests
+    slip_moves: np.ndarray | None = None  # (B, T * N) indices into MOVE_ACTIONS
+
+
+def draw_batch(env: GridEnv, batch: int, rng: np.random.Generator) -> BatchDraws:
+    """batch episodes' BatchDraws, drawn from rng in bulk and in order: one uniform key per (episode,
+    start cell), whose N smallest, in key order, are the episode's starts (distinct and uniform over
+    ordered N-tuples); then the uniforms; at slip > 0 the slip uniforms, then the slip moves."""
+    n = env.config.num_agents
+    size = (batch, env.config.horizon * n)
+    keys = rng.random((batch, len(env.start_index)))
+    picks = np.argpartition(keys, n - 1, axis=1)[:, :n]
+    picks = np.take_along_axis(picks, np.take_along_axis(keys, picks, axis=1).argsort(axis=1), axis=1)
+    starts, uniforms = env.start_index[picks], rng.random(size)
+    if env.config.slip_probability == 0.0:
+        return BatchDraws(starts, uniforms)
+    return BatchDraws(starts, uniforms, rng.random(size), rng.integers(len(MOVE_ACTIONS), size=size))
+
+
 def roll_batch(
-    env: GridEnv, cumulative: np.ndarray, seeds: np.ndarray, mix: np.ndarray | None = None
+    env: GridEnv, cumulative: np.ndarray, draws: BatchDraws, mix: np.ndarray | None = None
 ) -> BatchRollout:
-    """Roll one episode per seed, all at once, under a shared tabular policy.
+    """Roll one episode per row of draws, all at once, under a shared tabular policy.
 
     cumulative is the policy's cumulative action distribution per flat
     cell, shape (cells, 5), each row non-decreasing.  With mix, episode k
     acts on the blend (1 - mix[k]) * cumulative + mix[k] * uniform, so
-    each episode can explore on its own weight.  Episode k replays
-    what run_episode does on default_rng(seeds[k]): the same reset draw,
-    then one uniform per active agent and step, taken in agent order, and
-    the action is the number of cumulative entries at or below it (the
-    last, STAY, at most).  With slip_probability 0 the result equals
-    run_episode's exactly.  Slip draws (a uniform and a direction per
-    agent-step) come from each episode's generator after the policy
-    uniforms, so slipping rollouts follow the same distribution as
-    run_episode but not the same draws.
+    each episode can explore on its own weight.  Episode k starts from
+    draws.starts[k]; its active agents take its uniforms in order, one per
+    agent and step, and act by the number of cumulative entries at or
+    below it (STAY at most).  At slip 0 that is exactly run_episode from
+    those starts on a generator yielding those uniforms; a slipping step
+    reads the slip arrays at its uniform's index, so it agrees in distribution.
 
     A step works only on the agents still active, held as flat arrays in
     (episode, agent) order; an agent drops out on the step it reaches a
@@ -595,25 +616,10 @@ def roll_batch(
     table with an entry per (episode, cell), so a step costs time linear
     in the number of active agents.
     """
-    config = env.config
-    batch, n, horizon = len(seeds), config.num_agents, config.horizon
-    slip = config.slip_probability
-    draws = horizon * n  # uniforms per episode
-    slip_draws = draws if slip > 0.0 else 0
-    starts = np.empty((batch, n), dtype=np.intp)
-    uniforms = np.empty((batch, draws))
-    slip_uniforms = np.empty((batch, slip_draws))
-    slip_moves = np.empty((batch, slip_draws), dtype=np.intp)
-    for k, seed in enumerate(np.asarray(seeds).tolist()):
-        rng = np.random.default_rng(seed)
-        starts[k] = rng.choice(len(env.start_index), size=n, replace=False)
-        uniforms[k] = rng.random(draws)
-        if slip > 0.0:
-            slip_uniforms[k] = rng.random(draws)
-            slip_moves[k] = rng.integers(len(MOVE_ACTIONS), size=draws)
-    # Flat agent b * n + i is agent i of episode b; episode b's uniforms start at b * draws.
-    start = env.start_index[starts.reshape(-1)]
-    uniforms, slip_uniforms, slip_moves = (a.reshape(-1) for a in (uniforms, slip_uniforms, slip_moves))
+    batch, n = draws.starts.shape
+    horizon, slip = env.config.horizon, env.config.slip_probability
+    # Flat agent b * n + i is agent i of episode b; episode b's uniforms start at b * horizon * n.
+    start, uniforms, slip_uniforms, slip_moves = (a if a is None else a.reshape(-1) for a in draws)
 
     # One row per flat agent: cells[:, t + 1] is its cell after step t.
     width = horizon + 1
@@ -642,7 +648,7 @@ def roll_batch(
     row = agent * width
     base = agent // n * num_cells
     rank, stride = _runs(base)
-    draw = agent // n * draws + rank
+    draw = agent // n * horizon * n + rank
     span = 0
     while span < horizon and len(pos):
         u = uniforms[draw]

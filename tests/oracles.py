@@ -2,8 +2,9 @@
 
 Everything here is written from scratch against the plain definitions
 (breadth-first search, brute-force joint-move resolution, pairwise
-batched conflict rounds, a direct scan and a guard-based automaton for
-reach-avoid scoring, per-trajectory set loops for fitness, a row-by-row
+batched conflict rounds, one generator per episode for batch draws, a
+direct scan and a guard-based automaton for reach-avoid scoring,
+per-trajectory set loops for fitness, a row-by-row
 replicator step, a per-trajectory first-visit Monte-Carlo credit loop)
 so that tests never check the library against itself.
 Keep this module free of evomapf imports.
@@ -125,6 +126,28 @@ def resolve_conflicts_pairwise(pre, final, active, events):
         if not revert.any():
             return final
         final = np.where(revert, pre, final)
+
+
+def per_episode_draws(env, seeds):
+    """Batch draws from one generator per episode: (starts, uniforms, slip_uniforms, slip_moves).
+
+    Row k holds what run_episode draws on default_rng(seeds[k]), in its
+    order: the reset's `choice` of start cells (as flat cells), then the
+    horizon * agents policy uniforms; at slip > 0, then as many slip
+    uniforms and slip moves in [0, 4).  The slip arrays are None at slip 0.
+    """
+    n, slip = env.config.num_agents, env.config.slip_probability
+    size = env.config.horizon * n
+    starts, uniforms, slip_uniforms, slip_moves = [], [], [], []
+    for seed in np.asarray(seeds).tolist():
+        rng = np.random.default_rng(seed)
+        starts.append(env.start_index[rng.choice(len(env.start_index), size=n, replace=False)])
+        uniforms.append(rng.random(size))
+        if slip > 0.0:
+            slip_uniforms.append(rng.random(size))
+            slip_moves.append(rng.integers(4, size=size))
+    slips = (np.array(slip_uniforms), np.array(slip_moves)) if slip > 0.0 else (None, None)
+    return np.array(starts), np.array(uniforms), *slips
 
 
 def reach_avoid_weights(observations, a, b, c):

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from evomapf import baselines, gridworld
+from evomapf import baselines, egt, gridworld
 from evomapf.automaton import SEEKING, RewardParams, discounted_sum, reach_avoid_machine, valuate
 from evomapf.baselines import (
     LearnerParams,
@@ -19,10 +19,11 @@ from evomapf.baselines import (
     qlearning_table,
 )
 from evomapf.bench import generate_map
-from evomapf.egt import NUM_ACTIONS, EpisodeBatch, TabularPolicy, estimate_fitness
+from evomapf.egt import NUM_ACTIONS, EpisodeBatch, TabularPolicy, TrainConfig, estimate_fitness, train
 from evomapf.gridworld import (
     COLLISION_EVENTS,
     Action,
+    BatchDraws,
     Cell,
     ConfigError,
     EnvConfig,
@@ -35,7 +36,7 @@ from evomapf.gridworld import (
     run_episode,
 )
 
-from oracles import bfs_path_length, first_visit_credit
+from oracles import bfs_path_length, first_visit_credit, per_episode_draws
 
 
 def empty_grid_with_goal(width, height, goal):
@@ -448,8 +449,8 @@ def assert_monte_carlo_credits_like_the_oracle(monkeypatch, env_config, rewards,
     """
     rolled_batches, tables = [], []
 
-    def recording_roll_batch(env, cumulative, seeds, mix):
-        rolled = roll_batch(env, cumulative, seeds, mix)
+    def recording_roll_batch(env, cumulative, draws, mix):
+        rolled = roll_batch(env, cumulative, draws, mix)
         rolled_batches.append((cumulative, mix, rolled))
         return rolled
 
@@ -559,7 +560,8 @@ def test_monte_carlo_and_egt_count_the_same_distinct_visits():
     grid = parse_map("....#\n.#..G\n..#..\nG....\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=16))
     uniform = TabularPolicy.uniform(grid).cumulative().reshape(-1, NUM_ACTIONS)
-    rolled = roll_batch(env, uniform, np.random.default_rng(4).integers(0, 2**63 - 1, size=32))
+    seeds = np.random.default_rng(4).integers(0, 2**63 - 1, size=32)
+    rolled = roll_batch(env, uniform, BatchDraws(*per_episode_draws(env, seeds)))
     returns = np.random.default_rng(5).normal(size=rolled.lengths.shape)
     _, egt_counts = estimate_fitness(EpisodeBatch(rolled, returns, env))
     sums, counts = np.zeros(egt_counts.size), np.zeros(egt_counts.size, dtype=np.int64)
@@ -567,3 +569,22 @@ def test_monte_carlo_and_egt_count_the_same_distinct_visits():
     assert np.array_equal(counts, egt_counts)
     # Pairs repeat within trajectories, so both must drop the repeats.
     assert 0 < counts.sum() < rolled.lengths.sum()
+
+
+def test_training_and_monte_carlo_build_no_generator(monkeypatch):
+    """train() and monte_carlo_table() draw every batch from the generator they are given."""
+    grid = parse_map("....#\n.#..G\n..#..\nG....\n")
+    env_config = EnvConfig(grid=grid, num_agents=3, horizon=16, slip_probability=0.1)
+    train_rng, learn_rng = np.random.default_rng(0), np.random.default_rng(1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    # gridworld, egt and baselines reach default_rng through the one numpy module.
+    assert gridworld.np.random is egt.np.random is baselines.np.random
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert train(TrainConfig(env=env_config, batch_size=16, max_iterations=3, patience=4), train_rng).iterations == 3
+    params = LearnerParams(episodes=40, mc_batch=15)
+    assert np.any(monte_carlo_table(env_config, RewardParams.default_for(16), params, learn_rng) != 0.0)
+    with pytest.raises(AssertionError, match="generator"):
+        run_episode(GridEnv(env_config), TabularPolicy.uniform(grid), 0)

@@ -34,6 +34,7 @@ from evomapf.egt import (
 from evomapf.gridworld import (
     Action,
     AgentTrajectory,
+    BatchDraws,
     BatchRollout,
     Cell,
     ConfigError,
@@ -41,12 +42,13 @@ from evomapf.gridworld import (
     EpisodeRollout,
     GridEnv,
     StepEvent,
+    draw_batch,
     parse_map,
     roll_batch,
     run_episode,
 )
 
-from oracles import fitness_sums, replicator_step
+from oracles import fitness_sums, per_episode_draws, replicator_step
 
 
 STRIP = parse_map("....G\n")
@@ -356,10 +358,21 @@ def _strip_env(num_agents=1, horizon=6):
 STRIP_REWARDS = RewardParams(step_penalty=1.0, goal_reward=60.0, collision_penalty=60.0, horizon=6)
 
 
-def test_sample_batch_of_one_equals_a_single_episode():
+def oracle_draws(env, seeds) -> BatchDraws:
+    """The BatchDraws of one generator per episode, default_rng(seeds[k]) for episode k."""
+    return BatchDraws(*per_episode_draws(env, seeds))
+
+
+def per_episode_stream(env, batch_size, rng) -> BatchDraws:
+    """draw_batch's stand-in for the scalar comparisons: oracle draws on seeds taken from rng as scalar_batch does."""
+    return oracle_draws(env, rng.integers(0, 2**63 - 1, size=batch_size))
+
+
+def test_sample_batch_of_one_equals_a_single_episode(monkeypatch):
     env = _strip_env()
     machine = reach_avoid_machine(STRIP_REWARDS)
     policy = TabularPolicy.uniform(STRIP)
+    monkeypatch.setattr(egt, "draw_batch", per_episode_stream)
     batch = sample_batch(policy, env, machine, SUM, 1, np.random.default_rng(9))
     seed = int(np.random.default_rng(9).integers(0, 2**63 - 1, size=1)[0])
     rollout = run_episode(env, policy, np.random.default_rng(seed))
@@ -413,15 +426,38 @@ class ScalarBatch:
         return float(np.mean([sum(r) for r in self.returns]))
 
 
-def scalar_batch(policy, env, machine, valuation, batch_size, rng) -> ScalarBatch:
-    """sample_batch's reference: run_episode per derived seed, scored per trajectory."""
-    seeds = rng.integers(0, 2**63 - 1, size=batch_size)
-    rollouts = [run_episode(env, policy, np.random.default_rng(int(seed))) for seed in seeds]
+def scored(rollouts, env, machine, valuation) -> ScalarBatch:
+    """Rollouts with each trajectory scored on its own."""
     returns = [
         [valuate(machine.weights(t.observations()), valuation) for t in r.trajectories]
         for r in rollouts
     ]
     return ScalarBatch(rollouts, returns, env)
+
+
+def scalar_batch(policy, env, machine, valuation, batch_size, rng) -> ScalarBatch:
+    """sample_batch's reference on per_episode_stream: run_episode per derived seed."""
+    seeds = rng.integers(0, 2**63 - 1, size=batch_size)
+    return scored([run_episode(env, policy, np.random.default_rng(int(seed))) for seed in seeds], env, machine, valuation)
+
+
+class Replay(np.random.Generator):
+    """A generator whose random(k) returns the next k of the given uniforms, all run_episode reads at slip 0."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms, self.used = uniforms, 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        first, self.used = self.used, self.used + size
+        return self.uniforms[first:self.used]
+
+
+def replayed_batch(policy, env, machine, valuation, batch_size, rng) -> ScalarBatch:
+    """sample_batch's reference on its own draws: run_episode from each of draw_batch's starts, fed its uniforms."""
+    draws = draw_batch(env, batch_size, rng)
+    rollouts = [run_episode(env, policy, Replay(u), starts=s.tolist()) for s, u in zip(draws.starts, draws.uniforms)]
+    return scored(rollouts, env, machine, valuation)
 
 
 def scalar_fitness(batch) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +524,9 @@ def test_batched_rollouts_equal_run_episode(world, policy_seed, zero_share, batc
     env = GridEnv(config)
     machine = reach_avoid_machine(RewardParams.default_for(config.horizon))
     policy = random_policy(grid, policy_seed, zero_share)
-    batch = sample_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(egt, "draw_batch", per_episode_stream)
+        batch = sample_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
     reference = scalar_batch(policy, env, machine, valuation, 6, np.random.default_rng(batch_seed))
     assert_same_batch(batch, reference)
     assert_same_fitness(estimate_fitness(batch), scalar_fitness(reference))
@@ -504,7 +542,7 @@ def test_batched_rollouts_equal_run_episode(world, policy_seed, zero_share, batc
         ("GSSG\n", {1: Action.RIGHT, 2: Action.LEFT}, {StepEvent.SWAP_CONFLICT}),
     ],
 )
-def test_batched_conflicts_equal_run_episode(text, moves, events):
+def test_batched_conflicts_equal_run_episode(monkeypatch, text, moves, events):
     grid = parse_map(text)
     config = EnvConfig(grid=grid, num_agents=len(grid.starts), horizon=3)
     probs = np.zeros((1, grid.width, 5))
@@ -514,6 +552,7 @@ def test_batched_conflicts_equal_run_episode(text, moves, events):
     policy = TabularPolicy(grid.width, 1, probs, grid.free_cells())
     env = GridEnv(config)
     machine = reach_avoid_machine(RewardParams.default_for(3))
+    monkeypatch.setattr(egt, "draw_batch", per_episode_stream)
     batch = sample_batch(policy, env, machine, SUM, 4, np.random.default_rng(0))
     assert_same_batch(batch, scalar_batch(policy, env, machine, SUM, 4, np.random.default_rng(0)))
     seen = {e for r in batch.rollouts for t in r.trajectories for e in t.events}
@@ -522,12 +561,12 @@ def test_batched_conflicts_equal_run_episode(text, moves, events):
 
 @pytest.mark.parametrize("zero_share", [None, 0.4], ids=["uniform", "random"])
 def test_crowded_batch_equals_run_episode_on_the_acceptance_8_map(zero_share):
-    """25 agents on the 50x50 map of acceptance 8: roll_batch equals run_episode seed by seed."""
+    """25 agents on the 50x50 map of acceptance 8: roll_batch on oracle draws equals run_episode seed by seed."""
     grid = generate_map(50, 50, 0.1, np.random.default_rng([0, 50]))
     env = GridEnv(EnvConfig(grid=grid, num_agents=25, horizon=40))
     policy = TabularPolicy.uniform(grid) if zero_share is None else random_policy(grid, 3, zero_share)
     seeds = np.random.default_rng(8).integers(0, 2**63 - 1, size=16)
-    rolled = roll_batch(env, policy.cumulative().reshape(-1, 5), seeds)
+    rolled = roll_batch(env, policy.cumulative().reshape(-1, 5), oracle_draws(env, seeds))
     for got, seed in zip(rolled.rollouts(env), seeds, strict=True):
         want = run_episode(env, policy, np.random.default_rng(int(seed)))
         assert got.steps == want.steps
@@ -540,7 +579,7 @@ def test_crowded_batch_equals_run_episode_on_the_acceptance_8_map(zero_share):
 def test_batch_padding_repeats_the_last_cell_with_stay_and_inactive():
     grid = parse_map("....#\n.#..G\n..#..\nG....\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=16))
-    rolled = roll_batch(env, random_policy(grid, 1, 0.4).cumulative().reshape(-1, 5), np.arange(40))
+    rolled = roll_batch(env, random_policy(grid, 1, 0.4).cumulative().reshape(-1, 5), oracle_draws(env, np.arange(40)))
     span = rolled.actions.shape[2]
     past = np.arange(span) >= rolled.lengths[:, :, None]
     assert past.any() and not past.all()
@@ -552,21 +591,23 @@ def test_batch_padding_repeats_the_last_cell_with_stay_and_inactive():
 
 
 def test_mixed_batch_equals_run_episode_of_each_blend():
-    """With mix, episode k of roll_batch is run_episode on its seed under mix_with_uniform(policy, mix[k])."""
+    """With mix, episode k of roll_batch on oracle draws is run_episode on its seed under
+    mix_with_uniform(policy, mix[k])."""
     grid = parse_map("....#\n.#..G\n..#..\nG....\n")
     env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=16))
     policy = random_policy(grid, 2, 0.4)
     cumulative = policy.cumulative().reshape(-1, 5)
     mix = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 1.0] * 3)
     seeds = np.random.default_rng(6).integers(0, 2**63 - 1, size=len(mix))
-    rolled = roll_batch(env, cumulative, seeds, mix)
+    draws = oracle_draws(env, seeds)
+    rolled = roll_batch(env, cumulative, draws, mix)
     for got, seed, weight in zip(rolled.rollouts(env), seeds, mix, strict=True):
         want = run_episode(env, mix_with_uniform(policy, weight), np.random.default_rng(int(seed)))
         assert got.steps == want.steps
         for t, u in zip(got.trajectories, want.trajectories, strict=True):
             assert (t.cells, t.actions, t.events, t.reached) == (u.cells, u.actions, u.events, u.reached)
-    unmixed = roll_batch(env, cumulative, seeds)
-    zero = roll_batch(env, cumulative, seeds, np.zeros(len(seeds)))
+    unmixed = roll_batch(env, cumulative, draws)
+    zero = roll_batch(env, cumulative, draws, np.zeros(len(seeds)))
     for name in ("cells", "actions", "events", "lengths", "reached", "steps"):
         assert np.array_equal(getattr(zero, name), getattr(unmixed, name)), name
 
@@ -582,7 +623,7 @@ def test_training_is_bit_identical_to_the_scalar_path(monkeypatch):
         alpha=0.3,
     )
     batched = train(config, np.random.default_rng(5))
-    monkeypatch.setattr(egt, "sample_batch", scalar_batch)
+    monkeypatch.setattr(egt, "sample_batch", replayed_batch)
     monkeypatch.setattr(egt, "estimate_fitness", scalar_fitness)
     monkeypatch.setattr(egt, "replicator_update", scalar_replicator)
     scalar = train(config, np.random.default_rng(5))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from evomapf.gridworld import (
     StepEvent,
     _resolve_conflicts,
     default_horizon,
+    draw_batch,
     format_map,
     parse_map,
     run_episode,
@@ -175,6 +177,43 @@ def test_reset_draws_sorted_starts_without_replacement(num_agents):
             picks = np.random.default_rng(seed).choice(len(starts), num_agents, replace=False)
             want = [starts[i].y * grid.width + starts[i].x for i in picks]
             assert env.reset(np.random.default_rng(seed)) == want
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.3])
+def test_draw_batch_draws_keys_then_uniforms_then_slips(slip):
+    """Starts rank one key per start cell; then come the uniforms, and at slip > 0 the slip uniforms and moves."""
+    grid = parse_map("S.#G\n.S..\nS..S\n#S..\n")
+    env = GridEnv(EnvConfig(grid=grid, num_agents=3, horizon=7, slip_probability=slip))
+    draws = draw_batch(env, 9, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    keys = rng.random((9, len(env.start_index)))
+    assert np.array_equal(draws.starts, env.start_index[np.argsort(keys, axis=1)[:, :3]])
+    assert np.array_equal(draws.uniforms, rng.random((9, 21)))
+    if slip == 0.0:
+        assert draws.slip_uniforms is None and draws.slip_moves is None
+    else:
+        assert np.array_equal(draws.slip_uniforms, rng.random((9, 21)))
+        assert np.array_equal(draws.slip_moves, rng.integers(4, size=(9, 21)))
+
+
+CHI2_11_UPPER = 31.26  # upper 0.1% point of the chi-square distribution with 11 degrees of freedom
+
+
+def test_draw_batch_starts_are_uniform_over_ordered_distinct_tuples():
+    """Two agents on four start cells: the 12 ordered tuples of 24,000 episodes pass a chi-square test."""
+    env = GridEnv(EnvConfig(grid=parse_map("SSSSG\n"), num_agents=2))
+    counts = Counter(map(tuple, draw_batch(env, 24_000, np.random.default_rng(26)).starts.tolist()))
+    assert set(counts) == set(itertools.permutations(range(4), 2))
+    expected = 24_000 / 12
+    chi2 = sum((n - expected) ** 2 / expected for n in counts.values())
+    assert chi2 < CHI2_11_UPPER, chi2
+
+
+def test_draw_batch_rows_are_distinct_when_every_start_is_taken():
+    env = GridEnv(EnvConfig(grid=parse_map("SSSSG\n"), num_agents=4))
+    starts = draw_batch(env, 500, np.random.default_rng(4)).starts
+    assert (np.sort(starts, axis=1) == env.start_index).all()
+    assert len(set(map(tuple, starts.tolist()))) == 24
 
 
 def test_move_tables_agree_with_single_agent_steps():
