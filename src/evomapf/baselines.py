@@ -1,12 +1,13 @@
-"""Classical baselines: A* planning plus tabular Q-learning and Monte-Carlo control.
+"""Classical baselines: shortest paths from one goal-distance field, plus tabular Q-learning
+and Monte-Carlo control.
 
-The two learners share the reward shape and the single shared policy
-table with the replicator trainer, so benchmark comparisons differ only
-in the training rule.
+On a unit-cost grid a breadth-first field gives A*'s distances for every
+cell at once.  The two learners share the reward shape and the single
+shared policy table with the replicator trainer, so benchmark
+comparisons differ only in the training rule.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +15,15 @@ import numpy as np
 from .automaton import RewardParams, reach_avoid_machine, SEEKING
 from .egt import NUM_ACTIONS, TabularPolicy, check_horizon
 from .gridworld import (
+    ACTION_DELTAS,
+    Action,
     BatchRollout,
     Cell,
     COLLISION_EVENTS,
     EnvConfig,
     GridEnv,
     GridMap,
+    MOVE_ACTIONS,
     STEP_EVENTS,
     check_range,
     draw_batch,
@@ -29,52 +33,53 @@ from .gridworld import (
 )
 
 
-def manhattan(a: Cell, b: Cell) -> int:
-    return abs(a.x - b.x) + abs(a.y - b.y)
+def goal_distances(free: np.ndarray, goals: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Steps from each cell of the (H, W) free mask to its nearest goal (given as ys, xs) over
+    4-connected free cells, or -1 where no goal can be reached.  Breadth-first, as a flood fill
+    that records the round in which it first reaches each cell."""
+    dist = np.full(free.shape, -1)
+    reached = np.zeros_like(free)
+    reached[goals] = True
+    new, steps = reached, 0
+    while new.any():
+        dist[new] = steps
+        grown = reached.copy()
+        grown[1:] |= reached[:-1]
+        grown[:-1] |= reached[1:]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= free
+        new, reached, steps = grown ^ reached, grown, steps + 1
+    return dist
+
+
+def shortest_moves(grid: GridMap) -> np.ndarray:
+    """(H, W) table of each cell's first move, in Action order, that steps one closer to a goal;
+    goals, obstacles and cells walled off from every goal STAY."""
+    free = np.ones((grid.height, grid.width), dtype=bool)
+    for cell in grid.obstacles:
+        free[cell.y, cell.x] = False
+    dist = goal_distances(free, (np.array([g.y for g in grid.goals]), np.array([g.x for g in grid.goals])))
+    padded = np.pad(dist, 1, constant_values=-1)
+    h, w = dist.shape
+    closer = [(padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] == dist - 1) & (dist > 0)
+              for dx, dy in map(ACTION_DELTAS.get, MOVE_ACTIONS)]
+    return np.select(closer, MOVE_ACTIONS, Action.STAY)
 
 
 def astar(grid: GridMap, start: Cell) -> list[Cell] | None:
-    """Shortest 4-connected path from start to the nearest goal, or None.
+    """Shortest path from start to the nearest goal, walking shortest_moves: the length A* finds.
 
-    The heuristic is the minimum Manhattan distance over all goals; ties
-    in f are broken by the smaller (y, x) of the expanded cell, which
-    makes the search fully deterministic.
+    None off the map, on an obstacle or when no goal can be reached; [start] on a goal.
     """
     if not grid.passable(start):
         return None
-    goals = sorted(grid.goals)
-
-    def h(cell: Cell) -> int:
-        return min(manhattan(cell, g) for g in goals)
-
-    open_heap: list[tuple[int, int, int]] = [(h(start), start.y, start.x)]
-    g_score: dict[Cell, int] = {start: 0}
-    came_from: dict[Cell, Cell] = {}
-    closed: set[Cell] = set()
-    while open_heap:
-        _, y, x = heapq.heappop(open_heap)
-        current = Cell(x, y)
-        if current in closed:
-            continue
-        closed.add(current)
-        if current in grid.goals:
-            path = [current]
-            while current in came_from:
-                current = came_from[current]
-                path.append(current)
-            path.reverse()
-            return path
-        base = g_score[current]
-        for dx, dy in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-            neighbor = Cell(x + dx, y + dy)
-            if not grid.passable(neighbor) or neighbor in closed:
-                continue
-            tentative = base + 1
-            if tentative < g_score.get(neighbor, np.inf):
-                g_score[neighbor] = tentative
-                came_from[neighbor] = current
-                heapq.heappush(open_heap, (tentative + h(neighbor), neighbor.y, neighbor.x))
-    return None
+    moves = shortest_moves(grid)
+    path = [start]
+    while (action := moves[path[-1].y, path[-1].x]) != Action.STAY:
+        dx, dy = ACTION_DELTAS[action]
+        path.append(Cell(path[-1].x + dx, path[-1].y + dy))
+    return path if path[-1] in grid.goals else None
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Evaluation rolls frozen tabular policies over seeded episodes and
 reports success rate, timesteps to goal, obstacle clearance, and
 agent-agent collisions.  The A* baseline is one such policy: each cell
-moves along an A* path from it.
+takes its shortest move toward a goal, read off one breadth-first
+distance field, which also checks that a generated map is connected.
 Suites sweep grid sizes, agent counts, and algorithms into a CSV where
 every algorithm sees the identical map and start draws.
 """
@@ -19,11 +20,9 @@ from typing import Iterator
 import numpy as np
 
 from .automaton import RewardParams, RewardMachine
-from .baselines import LEARNERS, LearnerParams, astar, learn
+from .baselines import LEARNERS, LearnerParams, goal_distances, learn, shortest_moves
 from .egt import NUM_ACTIONS, TabularPolicy, TrainConfig, train
 from .gridworld import (
-    ACTION_DELTAS,
-    Action,
     Cell,
     CONFLICT_EVENTS,
     ConfigError,
@@ -79,24 +78,13 @@ class Metrics:
     eval_seconds: float
 
 
-# The action that moves by (dx, dy); a path's next cell is always one such move away.
-_ACTION_BY_DELTA = {delta: action for action, delta in ACTION_DELTAS.items()}
-
-
 def astar_policy(grid: GridMap) -> TabularPolicy:
-    """A* as a one-hot policy: each free cell moves to the next cell of astar's path from it.
+    """The A* baseline as a one-hot policy: each free cell takes its move of shortest_moves.
 
-    A goal cell, or one walled off from every goal, stays.  On generated
-    maps astar from any cell of an astar path goes on along it, so the table
-    walks each start's A* path, and after a slip the one from where it lands.
+    So an agent walks astar's path from its start, and after a slip the
+    one from where it lands.  A goal cell, or one walled off from every goal, stays.
     """
-    moves = np.full((grid.height, grid.width), Action.STAY)
-    cells = grid.free_cells()
-    for cell in cells:
-        path = astar(grid, cell)
-        if path is not None and len(path) > 1:
-            moves[cell.y, cell.x] = _ACTION_BY_DELTA[path[1].x - cell.x, path[1].y - cell.y]
-    return TabularPolicy(grid.width, grid.height, np.eye(NUM_ACTIONS)[moves], cells)
+    return TabularPolicy(grid.width, grid.height, np.eye(NUM_ACTIONS)[shortest_moves(grid)], grid.free_cells())
 
 
 def plan_rollout(env: GridEnv, rng: np.random.Generator, starts: list[int] | None = None) -> EpisodeRollout:
@@ -172,22 +160,6 @@ GOAL_REGION = 50
 MAX_TRIES = 200
 
 
-def _reaches_everywhere(free: np.ndarray, seeds: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Whether every free cell of the (H, W) mask connects to a seed cell, by flood fill."""
-    reached = np.zeros_like(free)
-    reached[seeds] = True
-    while True:
-        grown = reached.copy()
-        grown[1:] |= reached[:-1]
-        grown[:-1] |= reached[1:]
-        grown[:, 1:] |= reached[:, :-1]
-        grown[:, :-1] |= reached[:, 1:]
-        grown &= free
-        if np.array_equal(grown, reached):
-            return np.array_equal(reached, free)
-        reached = grown
-
-
 def generate_map(width: int, height: int, density: float, rng: np.random.Generator) -> GridMap:
     """Random map: uniform obstacles at the given density, one goal per
     GOAL_REGION x GOAL_REGION tile (at least one), every free cell
@@ -216,7 +188,7 @@ def generate_map(width: int, height: int, density: float, rng: np.random.Generat
         else:
             goals = (np.array(goal_ys), np.array(goal_xs))
             # A free cell besides the goals is a start.
-            if free.sum() > len(tiles) and _reaches_everywhere(free, goals):
+            if free.sum() > len(tiles) and (goal_distances(free, goals)[free] >= 0).all():
                 starts = free.copy()
                 starts[goals] = False
                 return GridMap(

@@ -1,9 +1,9 @@
 """Reference implementations the tests compare the library against.
 
 Everything here is written from scratch against the plain definitions
-(breadth-first search, brute-force joint-move resolution, pairwise
-batched conflict rounds, one generator per episode for batch draws, a
-direct scan and a guard-based automaton for reach-avoid scoring,
+(breadth-first search, a connectivity flood fill, brute-force joint-move
+resolution, pairwise batched conflict rounds, one generator per episode
+for batch draws, a direct scan and a guard-based automaton for reach-avoid scoring,
 per-trajectory set loops for fitness, a row-by-row
 replicator step, a per-trajectory first-visit Monte-Carlo credit loop)
 so that tests never check the library against itself.
@@ -36,6 +36,31 @@ def bfs_path_length(width, height, obstacles, start, goals):
             seen.add((nx, ny))
             frontier.append(((nx, ny), dist + 1))
     return None
+
+
+def manhattan(a, b):
+    """Taxicab distance between two (x, y) cells."""
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
+
+
+def reaches_everywhere(free, seeds):
+    """Whether every free cell of the (H, W) mask connects to a seed cell, by flood fill.
+
+    seeds holds the seeds' (ys, xs).  Each round adds the free neighbours
+    of the reached cells, until a round adds none.
+    """
+    reached = np.zeros_like(free)
+    reached[seeds] = True
+    while True:
+        grown = reached.copy()
+        grown[1:] |= reached[:-1]
+        grown[:-1] |= reached[1:]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= free
+        if np.array_equal(grown, reached):
+            return np.array_equal(reached, free)
+        reached = grown
 
 
 MOVE_DELTAS = {

@@ -1,4 +1,4 @@
-"""A* planning and the tabular Q-learning / Monte-Carlo baselines."""
+"""The shortest-path (A*) baseline and the tabular Q-learning / Monte-Carlo baselines."""
 
 from __future__ import annotations
 
@@ -13,15 +13,18 @@ from evomapf.baselines import (
     LearnerParams,
     astar,
     credit_first_visits,
+    goal_distances,
     learn,
-    manhattan,
     monte_carlo_table,
     qlearning_table,
+    shortest_moves,
 )
 from evomapf.bench import generate_map
 from evomapf.egt import NUM_ACTIONS, EpisodeBatch, TabularPolicy, TrainConfig, estimate_fitness, train
 from evomapf.gridworld import (
+    ACTION_DELTAS,
     COLLISION_EVENTS,
+    MOVE_ACTIONS,
     Action,
     BatchDraws,
     Cell,
@@ -36,7 +39,7 @@ from evomapf.gridworld import (
     run_episode,
 )
 
-from oracles import bfs_path_length, first_visit_credit, per_episode_draws
+from oracles import bfs_path_length, first_visit_credit, manhattan, per_episode_draws, reaches_everywhere
 
 
 def empty_grid_with_goal(width, height, goal):
@@ -54,12 +57,104 @@ def greedy_rollout_length(policy, grid, start, horizon):
 
 
 # ---------------------------------------------------------------------------
-# A*
+# the goal-distance field and A*
 
 
-def test_manhattan_distance():
-    assert manhattan(Cell(0, 0), Cell(4, 4)) == 8
-    assert manhattan(Cell(2, 3), Cell(2, 3)) == 0
+def free_mask(grid: GridMap) -> np.ndarray:
+    free = np.ones((grid.height, grid.width), dtype=bool)
+    for cell in grid.obstacles:
+        free[cell.y, cell.x] = False
+    return free
+
+
+def goal_coords(grid: GridMap) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([g.y for g in grid.goals]), np.array([g.x for g in grid.goals])
+
+
+# Hand-written maps: walled-off cells, several goals, a goal walled off on its own.
+HAND_MAPS = [
+    "S#G\n",
+    "..G#.\n...#.\n",
+    "G...G\n.###.\n.#.#.\n.###.\nG...G\n",
+    "G.#..\n..#.G\n###..\n..#..\n..#G.\n",
+    "....#G\n.##.##\n.#G...\n.####.\n......\n",
+    ".G.\n",
+    "G\n.\n.\n#\n.\n#\n",
+]
+
+FIELD_MAPS = [
+    *(generate_map(size, size, 0.1, np.random.default_rng([0, size])) for size in (10, 20, 30)),
+    *(generate_map(size, size, density, np.random.default_rng([seed, 31]))
+      for seed, (size, density) in enumerate([(8, 0.2), (12, 0.25), (15, 0.3), (9, 0.3), (20, 0.2)])),
+    *map(parse_map, HAND_MAPS),
+]
+FIELD_IDS = [
+    "suite-10", "suite-20", "suite-30", "8x8-0.2", "12x12-0.25", "15x15-0.3", "9x9-0.3", "20x20-0.2",
+    *(f"hand-{i}" for i in range(len(HAND_MAPS))),
+]
+
+
+@pytest.mark.parametrize("grid", FIELD_MAPS, ids=FIELD_IDS)
+def test_goal_distances_equal_breadth_first_search(grid):
+    """Every free cell reads the BFS distance to its nearest goal, or -1 where BFS finds none;
+    every obstacle reads -1."""
+    dist = goal_distances(free_mask(grid), goal_coords(grid))
+    assert dist.shape == (grid.height, grid.width)
+    obstacles = {(c.x, c.y) for c in grid.obstacles}
+    goals = {(g.x, g.y) for g in grid.goals}
+    for cell in grid.free_cells():
+        want = bfs_path_length(grid.width, grid.height, obstacles, (cell.x, cell.y), goals)
+        assert dist[cell.y, cell.x] == (-1 if want is None else want), cell
+    for cell in grid.obstacles:
+        assert dist[cell.y, cell.x] == -1
+
+
+@pytest.mark.parametrize("grid", FIELD_MAPS, ids=FIELD_IDS)
+def test_shortest_moves_take_the_first_move_one_step_closer(grid):
+    """A cell with a goal in reach moves one step closer, by the first such move in Action order;
+    goals, obstacles and walled-off cells stay."""
+    dist = goal_distances(free_mask(grid), goal_coords(grid))
+    moves = shortest_moves(grid)
+    assert moves.shape == (grid.height, grid.width)
+    for y in range(grid.height):
+        for x in range(grid.width):
+            cell = Cell(x, y)
+            closer = [
+                a for a in MOVE_ACTIONS
+                if grid.passable(n := Cell(x + ACTION_DELTAS[a][0], y + ACTION_DELTAS[a][1]))
+                and dist[n.y, n.x] == dist[y, x] - 1
+            ]
+            if cell in grid.obstacles or cell in grid.goals or dist[y, x] < 0:
+                assert moves[y, x] == Action.STAY, cell
+            else:
+                assert closer and moves[y, x] == closer[0], cell
+
+
+def test_goal_distance_connectivity_agrees_with_the_flood_fill():
+    """generate_map's check (every free cell has a distance) agrees with the reference flood fill
+    on random masks: open and walled-off ones, with one goal or several."""
+    rng = np.random.default_rng(27)
+    outcomes = []
+    for _ in range(1200):
+        h, w = rng.integers(1, 13, size=2)
+        free = rng.random((h, w)) >= rng.uniform(0.0, 0.5)
+        if rng.random() < 0.3:  # a wall across the board, with at most one gap
+            if w > 2:
+                col = rng.integers(1, w - 1)
+                free[:, col] = False
+                free[rng.integers(h), col] |= rng.random() < 0.5
+        ys, xs = np.nonzero(free)
+        if not len(ys):
+            continue
+        k = rng.choice(len(ys), size=min(len(ys), int(rng.integers(1, 5))), replace=False)
+        goals = (ys[k], xs[k])
+        got = bool((goal_distances(free, goals)[free] >= 0).all())
+        assert got == reaches_everywhere(free, goals)
+        outcomes.append((got, len(k) > 1))
+    assert len(outcomes) >= 1000
+    for connected in (True, False):
+        for several in (True, False):
+            assert outcomes.count((connected, several)) >= 50
 
 
 def test_astar_straight_shot_on_an_empty_board():
@@ -78,6 +173,12 @@ def test_astar_start_on_goal_is_the_empty_path():
 def test_astar_returns_none_when_walled_off():
     grid = parse_map("S#G\n")
     assert astar(grid, Cell(0, 0)) is None
+
+
+def test_astar_returns_none_off_the_map_and_on_an_obstacle():
+    grid = parse_map("S#G\n")
+    for cell in (Cell(1, 0), Cell(-1, 0), Cell(3, 0), Cell(0, 1)):
+        assert astar(grid, cell) is None
 
 
 def test_astar_matches_breadth_first_search_on_random_maps():
