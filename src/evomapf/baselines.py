@@ -1,10 +1,11 @@
 """Classical baselines: shortest paths from one goal-distance field, plus tabular Q-learning
 and Monte-Carlo control.
 
-On a unit-cost grid a breadth-first field gives A*'s distances for every
-cell at once.  The two learners share the reward shape and the single
-shared policy table with the replicator trainer, so benchmark
-comparisons differ only in the training rule.
+On a unit-cost grid one breadth-first flood fill, `flood_distances`,
+gives A*'s distances for every cell at once, and bench's obstacle
+clearance when seeded at the obstacles.  The two learners share the
+reward shape and the single shared policy table with the replicator
+trainer, so benchmark comparisons differ only in the training rule.
 """
 from __future__ import annotations
 
@@ -33,13 +34,13 @@ from .gridworld import (
 )
 
 
-def goal_distances(free: np.ndarray, goals: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Steps from each cell of the (H, W) free mask to its nearest goal (given as ys, xs) over
-    4-connected free cells, or -1 where no goal can be reached.  Breadth-first, as a flood fill
-    that records the round in which it first reaches each cell."""
-    dist = np.full(free.shape, -1)
-    reached = np.zeros_like(free)
-    reached[goals] = True
+def flood_distances(passable: np.ndarray, seeds: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Steps from each cell of the (H, W) passable mask to its nearest seed (a mask, or ys and xs)
+    over 4-connected passable cells, or -1 where no seed can be reached.  Breadth-first, as a
+    flood fill that records the round in which it first reaches each cell."""
+    dist = np.full(passable.shape, -1)
+    reached = np.zeros_like(passable)
+    reached[seeds] = True
     new, steps = reached, 0
     while new.any():
         dist[new] = steps
@@ -48,7 +49,7 @@ def goal_distances(free: np.ndarray, goals: tuple[np.ndarray, np.ndarray]) -> np
         grown[:-1] |= reached[1:]
         grown[:, 1:] |= reached[:, :-1]
         grown[:, :-1] |= reached[:, 1:]
-        grown &= free
+        grown &= passable
         new, reached, steps = grown ^ reached, grown, steps + 1
     return dist
 
@@ -56,10 +57,7 @@ def goal_distances(free: np.ndarray, goals: tuple[np.ndarray, np.ndarray]) -> np
 def shortest_moves(grid: GridMap) -> np.ndarray:
     """(H, W) table of each cell's first move, in Action order, that steps one closer to a goal;
     goals, obstacles and cells walled off from every goal STAY."""
-    free = np.ones((grid.height, grid.width), dtype=bool)
-    for cell in grid.obstacles:
-        free[cell.y, cell.x] = False
-    dist = goal_distances(free, (np.array([g.y for g in grid.goals]), np.array([g.x for g in grid.goals])))
+    dist = flood_distances(grid.free, grid.goal)
     padded = np.pad(dist, 1, constant_values=-1)
     h, w = dist.shape
     closer = [(padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w] == dist - 1) & (dist > 0)
@@ -70,7 +68,9 @@ def shortest_moves(grid: GridMap) -> np.ndarray:
 def astar(grid: GridMap, start: Cell) -> list[Cell] | None:
     """Shortest path from start to the nearest goal, walking shortest_moves: the length A* finds.
 
-    None off the map, on an obstacle or when no goal can be reached; [start] on a goal.
+    None off the map, on an obstacle or when no goal can be reached; [start] on a goal.  Every
+    call builds the map's whole goal-distance field, so a caller that needs many paths should
+    walk one shortest_moves table instead.
     """
     if not grid.passable(start):
         return None

@@ -2,9 +2,11 @@
 
 Evaluation rolls frozen tabular policies over seeded episodes and
 reports success rate, timesteps to goal, obstacle clearance, and
-agent-agent collisions.  The A* baseline is one such policy: each cell
-takes its shortest move toward a goal, read off one breadth-first
-distance field, which also checks that a generated map is connected.
+agent-agent collisions.  Clearance and the A* baseline read one
+breadth-first flood fill: seeded at the obstacles it gives each cell's
+Manhattan distance to the nearest obstacle; seeded at the goals, each
+cell's shortest move toward a goal, and it checks that a generated map
+is connected.  The A* baseline is the policy of those moves.
 Suites sweep grid sizes, agent counts, and algorithms into a CSV where
 every algorithm sees the identical map and start draws.
 """
@@ -20,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .automaton import RewardParams, RewardMachine
-from .baselines import LEARNERS, LearnerParams, goal_distances, learn, shortest_moves
+from .baselines import LEARNERS, LearnerParams, flood_distances, learn, shortest_moves
 from .egt import NUM_ACTIONS, TabularPolicy, TrainConfig, train
 from .gridworld import (
     Cell,
@@ -38,33 +40,10 @@ ALGORITHMS = ("egt", "astar", *LEARNERS)
 
 
 def obstacle_distance_field(grid: GridMap) -> np.ndarray | None:
-    """Manhattan distance from each cell to the nearest obstacle; None if no obstacles.
-
-    The taxicab transform is separable: a 1-D transform along the rows,
-    then one along the columns.  Along a line, min_j d[j] + |i - j| is
-    the smaller of i plus a forward running minimum of d[j] - j and a
-    backward running minimum of d[j] + j, minus i.
-    """
+    """Manhattan distance from each cell to the nearest obstacle; None if no obstacles."""
     if not grid.obstacles:
         return None
-    dist = np.full((grid.height, grid.width), grid.width + grid.height, dtype=np.int64)
-    for cell in grid.obstacles:
-        dist[cell.y, cell.x] = 0
-    for _ in range(2):
-        i = np.arange(dist.shape[1])
-        forward = np.minimum.accumulate(dist - i, axis=1) + i
-        backward = np.minimum.accumulate((dist + i)[:, ::-1], axis=1)[:, ::-1] - i
-        dist = np.minimum(forward, backward).T
-    return dist
-
-
-def obstacle_distance(cells: list[Cell], grid: GridMap, field: np.ndarray | list | None = None) -> float | None:
-    """Minimum Manhattan distance to any obstacle over the visited cells; field may be nested lists."""
-    if not grid.obstacles:
-        return None
-    if field is None:
-        field = obstacle_distance_field(grid)
-    return float(min(field[c.y][c.x] for c in cells))
+    return flood_distances(np.ones_like(grid.free), ~grid.free)
 
 
 @dataclass
@@ -140,7 +119,7 @@ def evaluate(
                 successes += 1
                 arrivals.append(traj.arrival_time)
             if field is not None:
-                clearances.append(obstacle_distance(traj.cells, grid, field))
+                clearances.append(float(min(field[c.y][c.x] for c in traj.cells)))
             conflicts += sum(map(traj.events.count, CONFLICT_EVENTS))
     eval_seconds = time.perf_counter() - started
     return Metrics(
@@ -188,7 +167,7 @@ def generate_map(width: int, height: int, density: float, rng: np.random.Generat
         else:
             goals = (np.array(goal_ys), np.array(goal_xs))
             # A free cell besides the goals is a start.
-            if free.sum() > len(tiles) and (goal_distances(free, goals)[free] >= 0).all():
+            if free.sum() > len(tiles) and (flood_distances(free, goals)[free] >= 0).all():
                 starts = free.copy()
                 starts[goals] = False
                 return GridMap(

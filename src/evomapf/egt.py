@@ -105,9 +105,6 @@ class TabularPolicy:
         """Deterministic policy: all mass on each row's argmax (first wins ties)."""
         return self._like(np.eye(NUM_ACTIONS)[self.probs.argmax(axis=2)])
 
-    def copy(self) -> "TabularPolicy":
-        return self._like(self.probs.copy())
-
 
 @dataclass
 class EpisodeBatch:

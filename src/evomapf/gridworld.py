@@ -20,8 +20,9 @@ agent is its flat cell from `reset` on; `GridEnv.step` is advance on live `Cell`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
+from functools import cached_property
 from itertools import cycle, islice
 from operator import ne
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple
@@ -134,12 +135,27 @@ class GridMap:
 
     def free_cells(self) -> list[Cell]:
         """All non-obstacle cells in (y, x) order."""
-        return [
-            Cell(x, y)
-            for y in range(self.height)
-            for x in range(self.width)
-            if Cell(x, y) not in self.obstacles
-        ]
+        return [Cell(x, y) for y, x in np.argwhere(self.free).tolist()]
+
+    def _mask(self, cells: AbstractSet[Cell], value: bool) -> np.ndarray:
+        mask = np.full((self.height, self.width), not value)
+        mask[[c.y for c in cells], [c.x for c in cells]] = value
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """Read-only (H, W) mask of the non-obstacle cells, built on first use."""
+        return self._mask(self.obstacles, False)
+
+    @cached_property
+    def goal(self) -> np.ndarray:
+        """Read-only (H, W) mask of the goal cells, built on first use."""
+        return self._mask(self.goals, True)
+
+    def __getstate__(self) -> dict:
+        # The fields only: a copy or an unpickled map rebuilds its masks, read-only.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _CHAR_MEANING = {".": "free", "#": "obstacle", "G": "goal", "S": "start"}
@@ -193,22 +209,11 @@ def _implicit_starts(
 
 def format_map(grid: GridMap) -> str:
     """Inverse of parse_map; emits 'S' only where starts differ from the implicit rule."""
-    mark_starts = grid.starts != _implicit_starts(grid.width, grid.height, grid.obstacles, grid.goals)
-    rows = []
-    for y in range(grid.height):
-        row = []
-        for x in range(grid.width):
-            cell = Cell(x, y)
-            if cell in grid.obstacles:
-                row.append("#")
-            elif cell in grid.goals:
-                row.append("G")
-            elif mark_starts and cell in grid.starts:
-                row.append("S")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows) + "\n"
+    chars = np.where(grid.free, ".", "#")
+    if grid.starts != _implicit_starts(grid.width, grid.height, grid.obstacles, grid.goals):
+        chars[[c.y for c in grid.starts], [c.x for c in grid.starts]] = "S"
+    chars[grid.goal] = "G"
+    return "".join("".join(row) + "\n" for row in chars.tolist())
 
 
 def default_horizon(grid: GridMap) -> int:
@@ -244,10 +249,7 @@ class GridEnv:
         w, h = grid.width, grid.height
         self.cells = [Cell(c % w, c // w) for c in range(w * h)]
         self.start_index = np.array([self.index(c) for c in sorted(grid.starts)], dtype=np.intp)
-        self.goal_mask = np.zeros(w * h, dtype=bool)
-        self.goal_mask[[self.index(c) for c in grid.goals]] = True
-        free = np.ones(w * h, dtype=bool)
-        free[[self.index(c) for c in grid.obstacles]] = False
+        self.goal_mask = grid.goal.reshape(-1)
         x = np.arange(w * h) % w
         y = np.arange(w * h) // w
         dx = np.array([ACTION_DELTAS[a][0] for a in Action])
@@ -256,7 +258,7 @@ class GridEnv:
         ty = y[:, None] + dy
         inside = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
         target = np.where(inside, ty * w + tx, 0)
-        passable = inside & free[target]
+        passable = inside & grid.free.reshape(-1)[target]
         # Per (cell, action): the cell the move lands on, and whether it was blocked.
         self.move_target = np.where(passable, target, np.arange(w * h)[:, None])
         self.move_blocked = ~passable & ((dx != 0) | (dy != 0))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from evomapf.baselines import (
     LearnerParams,
     astar,
     credit_first_visits,
-    goal_distances,
+    flood_distances,
     learn,
     monte_carlo_table,
     qlearning_table,
@@ -60,17 +62,6 @@ def greedy_rollout_length(policy, grid, start, horizon):
 # the goal-distance field and A*
 
 
-def free_mask(grid: GridMap) -> np.ndarray:
-    free = np.ones((grid.height, grid.width), dtype=bool)
-    for cell in grid.obstacles:
-        free[cell.y, cell.x] = False
-    return free
-
-
-def goal_coords(grid: GridMap) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([g.y for g in grid.goals]), np.array([g.x for g in grid.goals])
-
-
 # Hand-written maps: walled-off cells, several goals, a goal walled off on its own.
 HAND_MAPS = [
     "S#G\n",
@@ -95,10 +86,27 @@ FIELD_IDS = [
 
 
 @pytest.mark.parametrize("grid", FIELD_MAPS, ids=FIELD_IDS)
+def test_map_masks_equal_cell_membership(grid):
+    """GridMap.free and GridMap.goal mark exactly the non-obstacle and goal cells, read-only,
+    also on a copy and an unpickled map; free_cells lists the free cells in (y, x) order."""
+    cells = [Cell(x, y) for y in range(grid.height) for x in range(grid.width)]
+    # Both masks are built before the copies are taken.
+    assert grid.free_cells() == [c for c in cells if c not in grid.obstacles]
+    assert grid.goal.sum() == len(grid.goals)
+    for copied in (grid, copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        for mask, member in ((copied.free, lambda c: c not in grid.obstacles), (copied.goal, grid.goals.__contains__)):
+            assert mask.shape == (grid.height, grid.width) and mask.dtype == bool
+            assert mask.reshape(-1).tolist() == list(map(member, cells))
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = not mask[0, 0]
+
+
+@pytest.mark.parametrize("grid", FIELD_MAPS, ids=FIELD_IDS)
 def test_goal_distances_equal_breadth_first_search(grid):
     """Every free cell reads the BFS distance to its nearest goal, or -1 where BFS finds none;
-    every obstacle reads -1."""
-    dist = goal_distances(free_mask(grid), goal_coords(grid))
+    every obstacle reads -1.  The goals may be given as a mask or as (ys, xs)."""
+    dist = flood_distances(grid.free, grid.goal)
+    assert np.array_equal(dist, flood_distances(grid.free, np.nonzero(grid.goal)))
     assert dist.shape == (grid.height, grid.width)
     obstacles = {(c.x, c.y) for c in grid.obstacles}
     goals = {(g.x, g.y) for g in grid.goals}
@@ -113,7 +121,7 @@ def test_goal_distances_equal_breadth_first_search(grid):
 def test_shortest_moves_take_the_first_move_one_step_closer(grid):
     """A cell with a goal in reach moves one step closer, by the first such move in Action order;
     goals, obstacles and walled-off cells stay."""
-    dist = goal_distances(free_mask(grid), goal_coords(grid))
+    dist = flood_distances(grid.free, grid.goal)
     moves = shortest_moves(grid)
     assert moves.shape == (grid.height, grid.width)
     for y in range(grid.height):
@@ -148,7 +156,7 @@ def test_goal_distance_connectivity_agrees_with_the_flood_fill():
             continue
         k = rng.choice(len(ys), size=min(len(ys), int(rng.integers(1, 5))), replace=False)
         goals = (ys[k], xs[k])
-        got = bool((goal_distances(free, goals)[free] >= 0).all())
+        got = bool((flood_distances(free, goals)[free] >= 0).all())
         assert got == reaches_everywhere(free, goals)
         outcomes.append((got, len(k) > 1))
     assert len(outcomes) >= 1000

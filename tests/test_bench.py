@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -25,7 +26,6 @@ from evomapf.bench import (
     evaluate,
     generate_map,
     metrics_row,
-    obstacle_distance,
     obstacle_distance_field,
     plan_rollout,
     run_suite,
@@ -53,6 +53,8 @@ from evomapf.gridworld import (
 )
 
 from oracles import bfs_path_length, manhattan
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class ConstantPolicy:
@@ -84,8 +86,11 @@ def stay_policy(grid) -> TabularPolicy:
         parse_map("#......G\n"),
         parse_map("G\n.\n.\n#\n.\n#\n"),
         parse_map("#G\n"),
+        # One corner obstacle: the fill's longest run, 198 rounds to the far corner.
+        GridMap(100, 100, frozenset({Cell(0, 0)}), frozenset({Cell(99, 99)}), frozenset({Cell(50, 50)})),
+        generate_map(15, 15, 0.3, np.random.default_rng([2, 31])),
     ],
-    ids=["8x8", "13x5", "4x11", "50x50", "8x1", "1x6", "2x1"],
+    ids=["8x8", "13x5", "4x11", "50x50", "8x1", "1x6", "2x1", "100x100-corner", "15x15-0.3"],
 )
 def test_distance_field_matches_brute_force(grid):
     field = obstacle_distance_field(grid)
@@ -96,18 +101,25 @@ def test_distance_field_matches_brute_force(grid):
             assert field[y, x] == want
 
 
+def clearance(text: str) -> float | None:
+    """evaluate's obstacle_distance for one agent under the A* table, on a map with one 'S'."""
+    grid = parse_map(text)
+    return evaluate(astar_policy(grid), EnvConfig(grid=grid), 3, np.random.default_rng(0)).obstacle_distance
+
+
 def test_distance_field_is_none_without_obstacles():
     grid = parse_map("..G\n...\n")
     assert obstacle_distance_field(grid) is None
-    assert obstacle_distance([Cell(0, 0)], grid) is None
+    assert clearance("S.G\n...\n") is None
 
 
-def test_obstacle_distance_examples():
-    grid = parse_map("G#..\n....\n")
-    assert obstacle_distance([Cell(0, 1), Cell(1, 1)], grid) == 1.0
-    assert obstacle_distance([Cell(0, 1)], grid) == 2.0
-    far = parse_map("G..#\n")
-    assert obstacle_distance([Cell(0, 0)], far) == 3.0
+def test_evaluate_reports_the_closest_approach_to_an_obstacle():
+    # (3,1) (2,1) (1,1) (0,1) (0,0), 3 2 1 2 1 steps from the obstacle at (1,0).
+    assert clearance("G#..\n...S\n") == 1.0
+    # (0,0) then (0,1), 3 and 4 steps from the obstacle at (3,0).
+    assert clearance("S..#\nG...\n") == 3.0
+    # (0,0) (1,0) (2,0) (3,0), 5 4 3 2 steps from the obstacle at (5,0): the goal counts.
+    assert clearance("S..G.#\n") == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +614,17 @@ def test_run_suite_matches_a_serial_reference():
     expected = serial_suite_rows(config)
     assert sum("num_agents=8 exceeds" in row["error"] for row in expected) == len(ALGORITHMS)
     assert without_seconds(run_suite(config)) == without_seconds(expected)
+
+
+@pytest.mark.parametrize("slip", [0.0, 0.1])
+def test_run_suite_keeps_the_pinned_small_sweep(slip):
+    """The benchmark's suite-small sweep (sizes 10 and 20, 2 and 4 agents, all four algorithms,
+    100 evaluation and 1,000 training episodes, seed 0), every column but the seconds, as the
+    CSVs under tests/data pin it; a change that moves any seeded figure of the suite fails here."""
+    config = SuiteConfig(sizes=(10, 20), agents=(2, 4), eval_episodes=100, train_episodes=1000, slip_probability=slip)
+    with open(os.path.join(DATA, f"suite_small_slip{slip}.csv"), newline="") as fh:
+        pinned = list(csv.DictReader(fh))
+    assert without_seconds(run_suite(config)) == pinned
 
 
 def test_run_suite_leaves_no_worker_running():

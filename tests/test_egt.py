@@ -148,13 +148,6 @@ def test_sample_action_is_seed_deterministic():
     assert a == b
 
 
-def test_copy_is_independent():
-    policy = TabularPolicy.uniform(STRIP)
-    clone = policy.copy()
-    clone.probs[0, 0, 0] = 0.9
-    assert policy.probs[0, 0, 0] == 0.2
-
-
 # ---------------------------------------------------------------------------
 # fitness estimation
 

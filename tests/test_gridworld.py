@@ -17,6 +17,7 @@ from evomapf.gridworld import (
     ConfigError,
     EnvConfig,
     GridEnv,
+    GridMap,
     MapParseError,
     StepEvent,
     _resolve_conflicts,
@@ -94,7 +95,7 @@ def map_texts(draw):
     width = draw(st.integers(min_value=1, max_value=5))
     height = draw(st.integers(min_value=1, max_value=5))
     rows = [
-        [draw(st.sampled_from(".#G")) for _ in range(width)] for _ in range(height)
+        [draw(st.sampled_from(".#GS")) for _ in range(width)] for _ in range(height)
     ]
     gx = draw(st.integers(min_value=0, max_value=width - 1))
     gy = draw(st.integers(min_value=0, max_value=height - 1))
@@ -102,11 +103,18 @@ def map_texts(draw):
     return "\n".join("".join(r) for r in rows) + "\n"
 
 
+def test_format_map_writes_a_goal_over_a_start():
+    grid = GridMap(3, 1, obstacles=frozenset(), goals=frozenset({Cell(0, 0)}), starts=frozenset({Cell(0, 0), Cell(1, 0)}))
+    assert format_map(grid) == "GS.\n"
+
+
 @given(text=map_texts())
 @settings(max_examples=100)
 def test_parse_format_round_trip(text):
+    """Maps with and without 'S' cells; 'S' is written back only where starts differ from the implicit rule."""
     grid = parse_map(text)
     assert parse_map(format_map(grid)) == grid
+    assert format_map(grid) == text or ("S" in text and "S" not in format_map(grid))
     assert grid.starts
     assert not (grid.starts & grid.obstacles)
     assert not (grid.goals & grid.obstacles)
