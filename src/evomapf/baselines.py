@@ -183,26 +183,21 @@ def credit_first_visits(
 ) -> None:
     """Add each trajectory's first-visit returns to the flat (cell * 5 + action) sums and counts.
 
-    step_reward holds the reward of each event code, and the keys are
-    BatchRollout.visit_keys's, as in estimate_fitness.  Returns-to-go walk
+    step_reward holds the reward of each event code.  Returns-to-go walk
     back from each trajectory's last step, ret = reward + gamma * ret, as
-    a loop over one trajectory would.  Each distinct (trajectory, cell,
-    action) key takes the return of its earliest step, and np.add.at adds
-    the keys in trajectory order, so every sum adds its returns in
-    (episode, agent) order, one at a time.
+    a loop over one trajectory would.  BatchRollout.add_first_visits, the
+    kernel of estimate_fitness too, adds each distinct (trajectory, cell,
+    action) visit's return at its earliest step, so every sum adds its
+    returns in (episode, agent) order, one at a time.
     """
-    keys, taken = rolled.visit_keys(sums.size)
+    taken = np.arange(rolled.events.shape[2]) < rolled.lengths[:, :, None]
     reward = np.where(taken, step_reward[rolled.events], 0.0)
     returns = np.empty_like(reward)
     ret = np.zeros(reward.shape[:2])
     for t in range(reward.shape[2] - 1, -1, -1):
         ret = reward[:, :, t] + gamma * ret
         returns[:, :, t] = ret
-    # np.unique sorts by trajectory first, and its index is each key's earliest step.
-    distinct, earliest = np.unique(keys, return_index=True)
-    slot = distinct % sums.size
-    np.add.at(sums, slot, returns[taken][earliest])
-    np.add.at(counts, slot, 1)
+    rolled.add_first_visits(returns, sums, counts)
 
 
 # The tabular learners by algorithm name; each returns its (H, W, A) Q-values.

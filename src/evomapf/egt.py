@@ -8,7 +8,7 @@ on the observed actions, and blends in a decaying amount of the uniform
 policy for exploration.  Training stops when the batch return stops
 improving or the iteration cap is hit.  The batch stays in arrays from
 roll to replicator step: fitness is a pair of flat sums and counts over
-the slots cell * 5 + action, keyed by BatchRollout.visit_keys.
+the slots cell * 5 + action, added by BatchRollout.add_first_visits.
 """
 from __future__ import annotations
 
@@ -144,24 +144,14 @@ def estimate_fitness(batch: EpisodeBatch) -> tuple[np.ndarray, np.ndarray]:
     """Flat sums and counts of trajectory returns per (cell, action) slot cell * 5 + action.
 
     A pair's fitness, the mean return of the trajectories that take it, is
-    its sum over its count.  A trajectory adds its whole return once to
-    every distinct pair it takes, however often it repeats the pair.
-    Distinct visit keys sort by trajectory, so each sum adds in trajectory order.
+    its sum over its count.  BatchRollout.add_first_visits adds a
+    trajectory's whole return once to every distinct pair it takes, however
+    often it repeats the pair, and each sum adds in trajectory order.
     """
     bins = len(batch.env.cells) * NUM_ACTIONS
-    keys = _distinct(batch.rolled.visit_keys(bins)[0])
-    slot = keys % bins
-    # astype: bincount of no keys comes back integer even with weights.
-    sums = np.bincount(slot, weights=batch.returns.reshape(-1)[keys // bins], minlength=bins)
-    return sums.astype(float, copy=False), np.bincount(slot, minlength=bins)
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys, as np.unique returns them (sorting is faster here)."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
+    sums, counts = np.zeros(bins), np.zeros(bins, dtype=np.int64)
+    batch.rolled.add_first_visits(batch.returns[:, :, None], sums, counts)
+    return sums, counts
 
 
 def replicator_update(policy: TabularPolicy, sums: np.ndarray, counts: np.ndarray, alpha: float) -> TabularPolicy:

@@ -76,6 +76,8 @@ CONFLICT_EVENTS = frozenset({StepEvent.VERTEX_CONFLICT, StepEvent.SWAP_CONFLICT}
 # Event codes of the batched kernel: positions in STEP_EVENTS (declaration order).
 STEP_EVENTS: tuple[StepEvent, ...] = tuple(StepEvent)
 _MOVED, _BLOCKED, _VERTEX, _SWAP, _REACHED, _INACTIVE = range(len(STEP_EVENTS))
+# Per event code, whether it reads as a collision.
+_COLLIDES = np.array([ev in COLLISION_EVENTS for ev in STEP_EVENTS])
 
 
 class MapParseError(ValueError):
@@ -488,22 +490,32 @@ class BatchRollout:
         """
         span = self.events.shape[2]
         collided = np.zeros(self.cells.shape, dtype=bool)
-        collided[:, :, :span] = np.isin(self.events, [STEP_EVENTS.index(e) for e in COLLISION_EVENTS])
+        collided[:, :, :span] = _COLLIDES[self.events]
         in_goal = np.zeros(self.cells.shape, dtype=bool)
         arrival = np.arange(span + 1) == self.lengths[:, :, None]
         in_goal[arrival & self.reached[:, :, None]] = True
         return in_goal, collided, self.lengths + self.reached
 
-    def visit_keys(self, bins: int) -> tuple[np.ndarray, np.ndarray]:
-        """Key trajectory * bins + cell * 5 + action of each step taken, and the (B, N, S) taken mask.
+    def add_first_visits(self, values: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> None:
+        """Add values[b, i, t] into the flat sums, and 1 into counts, at the slot cell * 5 + action
+        of each trajectory's first visit to it, t being that visit's step; sums.size (bins) is cells * 5.
 
-        bins is cells * 5.  Agent i of episode b is trajectory b * N + i, action t
-        was taken in cell t, and the keys run in (episode, agent, step) order.
+        Agent i of episode b is trajectory b * N + i; action t was taken in cell t.  values is
+        (B, N, S), or (B, N, 1) for one value per trajectory.  Keys (trajectory * bins + slot) * S + t
+        sort by trajectory, slot and step, so each (trajectory, slot) run starts at its earliest
+        step, and np.add.at adds each slot's values one at a time in (episode, agent) order.
         """
         episodes, agents, span = self.actions.shape
         owner = np.arange(episodes * agents).reshape(episodes, agents, 1)
         taken = np.arange(span) < self.lengths[:, :, None]
-        return (owner * bins + self.cells[:, :, :-1] * len(ACTIONS) + self.actions)[taken], taken
+        slot = self.cells[:, :, :-1] * len(ACTIONS) + self.actions
+        keys = np.sort(((owner * sums.size + slot) * span + np.arange(span))[taken])
+        visit = keys // span
+        first = np.diff(visit, prepend=-1) != 0
+        trajectory, slot = np.divmod(visit[first], sums.size)
+        flat = np.broadcast_to(values, self.actions.shape).reshape(episodes * agents, span)
+        np.add.at(sums, slot, flat[trajectory, keys[first] % span])
+        np.add.at(counts, slot, 1)
 
     def rollouts(self, env: GridEnv) -> list[EpisodeRollout]:
         """The same episodes as EpisodeRollout objects."""

@@ -13,6 +13,7 @@ from evomapf.gridworld import (
     ACTION_DELTAS,
     STEP_EVENTS,
     Action,
+    BatchRollout,
     Cell,
     ConfigError,
     EnvConfig,
@@ -28,7 +29,14 @@ from evomapf.gridworld import (
     run_episode,
 )
 
-from oracles import SWAP_CODE, VERTEX_CODE, bfs_path_length, resolve_conflicts_pairwise, resolve_joint_move
+from oracles import (
+    SWAP_CODE,
+    VERTEX_CODE,
+    bfs_path_length,
+    first_visit_credit,
+    resolve_conflicts_pairwise,
+    resolve_joint_move,
+)
 
 
 class ConstantPolicy:
@@ -774,3 +782,73 @@ def test_run_episode_stops_stepping_once_the_live_cells_repeat():
     assert parked.cells == [Cell(3, 0), Cell(3, 1)] and parked.reached
     # Given starts, one-hot actions and no slip: nothing is drawn.
     assert rng.bit_generator.state == np.random.default_rng(8).bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the first-visit kernel shared by EGT's fitness and Monte-Carlo's returns
+
+R, L, S = Action.RIGHT, Action.LEFT, Action.STAY
+# 2 episodes x 2 agents x 4 steps on 4 cells; padding past each length is the last cell, STAY, INACTIVE.
+KERNEL_CELLS = [[[0, 1, 2, 1, 2], [3, 0, 1, 1, 1]], [[2, 2, 0, 1, 1], [3, 3, 3, 3, 3]]]
+KERNEL_ACTIONS = [[[R, R, L, R], [L, R, S, S]], [[S, L, R, S], [S, S, S, S]]]
+KERNEL_LENGTHS = [[4, 2], [3, 0]]
+
+
+def kernel_batch() -> BatchRollout:
+    actions = np.array(KERNEL_ACTIONS, dtype=np.intp)
+    lengths = np.array(KERNEL_LENGTHS)
+    return BatchRollout(
+        cells=np.array(KERNEL_CELLS, dtype=np.intp),
+        actions=actions,
+        events=np.where(np.arange(4) < lengths[:, :, None], 0, STEP_EVENTS.index(StepEvent.INACTIVE)),
+        lengths=lengths,
+        reached=np.zeros(lengths.shape, dtype=bool),
+        steps=lengths.max(axis=1),
+    )
+
+
+def first_visit_steps(values, order):
+    """first_visit_credit's (slot, reward) steps, one list per trajectory in order: at gamma 0 it
+    adds each trajectory's value at each slot's first visit."""
+    return [[(KERNEL_CELLS[b][i][t] * 5 + KERNEL_ACTIONS[b][i][t], values[b, i, t])
+             for t in range(KERNEL_LENGTHS[b][i])] for b, i in order]
+
+
+def test_first_visit_kernel_adds_the_earliest_step_once():
+    values = np.arange(16.0).reshape(2, 2, 4) + 1.0
+    sums, counts = np.zeros(20), np.zeros(20, dtype=np.int64)
+    kernel_batch().add_first_visits(values, sums, counts)
+    # Trajectory (0, 0) takes (cell 1, RIGHT) at steps 1 and 3: only step 1's value is added.
+    assert (sums[1 * 5 + R], counts[1 * 5 + R]) == (values[0, 0, 1], 1)
+    # Trajectory (1, 1) took no step; the other three take 3, 2 and 3 distinct pairs.
+    assert {k: n for k, n in enumerate(counts.tolist()) if n} == {0 * 5 + R: 3, 1 * 5 + R: 1, 2 * 5 + L: 2,
+                                                                   2 * 5 + S: 1, 3 * 5 + L: 1}
+
+
+def test_first_visit_kernel_adds_each_slot_in_episode_then_agent_order():
+    """(cell 0, RIGHT) is taken by both agents of episode 0 and by agent 0 of episode 1: its sum
+    has the bytes of adding their values to the same start in (episode, agent) order."""
+    values = np.full((2, 2, 4), 0.1)
+    values[0, 0, 0], values[0, 1, 1], values[1, 0, 2] = 1e16, -1e16, 1.0
+    start = np.random.default_rng(3).normal(size=20)
+    sums, counts = start.copy(), np.arange(20)
+    kernel_batch().add_first_visits(values, sums, counts)
+    in_order = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    want, want_counts = start.copy(), np.arange(20)
+    first_visit_credit(first_visit_steps(values, in_order), 0.0, want, want_counts)
+    assert sums.tobytes() == want.tobytes()
+    assert np.array_equal(counts, want_counts)
+    # Another order gives other bits, so the check above pins the order.
+    other = start.copy()
+    first_visit_credit(first_visit_steps(values, in_order[::-1]), 0.0, other, np.arange(20))
+    assert other[0 * 5 + R] != sums[0 * 5 + R]
+
+
+def test_first_visit_kernel_broadcasts_one_value_per_trajectory():
+    per_trajectory = np.random.default_rng(4).normal(size=(2, 2, 1))
+    sums, counts = np.zeros(20), np.zeros(20, dtype=np.int64)
+    kernel_batch().add_first_visits(per_trajectory, sums, counts)
+    repeated_sums, repeated_counts = np.zeros(20), np.zeros(20, dtype=np.int64)
+    kernel_batch().add_first_visits(np.repeat(per_trajectory, 4, axis=2), repeated_sums, repeated_counts)
+    assert sums.tobytes() == repeated_sums.tobytes()
+    assert np.array_equal(counts, repeated_counts)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -162,3 +163,54 @@ def f(x, least):
 def test_only_check_range_words_a_bound(path):
     """Every range check goes through gridworld.check_range, which owns the wording of its message."""
     assert bound_messages(path.read_text()) == []
+
+
+# A dotted name, not one that starts inside a path (`src/evomapf/egt.py`) or inside a longer name.
+DOTTED_NAME = re.compile(r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+FILE_SUFFIXES = {"py", "json", "csv", "md", "ini", "txt"}
+PACKAGE_MODULES = {path.stem: importlib.import_module(f"evomapf.{path.stem}") for path in MODULES}
+PACKAGE_CLASSES = {
+    name: obj
+    for module in PACKAGE_MODULES.values()
+    for name, obj in vars(module).items()
+    if isinstance(obj, type) and obj.__module__ == module.__name__
+}
+
+
+def has_attribute(owner, attr: str) -> bool:
+    """Whether owner has attr, counting a class's annotated fields and the attributes its methods set on self."""
+    if hasattr(owner, attr) or attr in getattr(owner, "__annotations__", {}):
+        return True
+    return isinstance(owner, type) and re.search(rf"\bself\.{attr}\s*=", inspect.getsource(owner)) is not None
+
+
+def unresolved_doc_names(text: str) -> list[str]:
+    """Backticked dotted names whose first part is a package module or class but which do not resolve.
+
+    Names that start elsewhere (`np.add.at`, `rng.random`, INI keys such as
+    `env.horizon`) and file names (`BENCH_8.json`) are not checked.
+    """
+    unresolved = []
+    for span in re.findall(r"`([^`]*)`", text):
+        for name in DOTTED_NAME.findall(span):
+            first, *rest = name.split(".")
+            owner = PACKAGE_MODULES.get(first, PACKAGE_CLASSES.get(first))
+            if owner is None or rest[-1] in FILE_SUFFIXES:
+                continue
+            for attr in rest:
+                if not has_attribute(owner, attr):
+                    unresolved.append(name)
+                    break
+                owner = getattr(owner, attr, None)
+    return unresolved
+
+
+def test_the_checker_finds_a_stale_doc_name():
+    text = ("`egt._distinct` and `BatchRollout.visit_keys(bins)` went; `GridEnv.start_index`, "
+            "`BatchRollout.cells`, `gridworld.roll_batch`, `egt.py`, `np.add.at` and `env.horizon` pass")
+    assert unresolved_doc_names(text) == ["egt._distinct", "BatchRollout.visit_keys"]
+
+
+def test_every_package_name_in_the_readme_resolves():
+    """A rename that leaves README naming the old package attribute fails here, by name."""
+    assert unresolved_doc_names((ROOT / "README.md").read_text()) == []
